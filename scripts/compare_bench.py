@@ -22,7 +22,7 @@ vary too much across runner hardware):
   baselines must be refreshed from a CI artifact, not a laptop (see
   ``benchmarks/baselines/README.md``).
 * ``acceptance_ratio(...)`` quality metrics -- the sharded engine's
-  acceptance vs the monolithic oracle -- must not drop below
+  acceptance vs the single-shard oracle -- must not drop below
   ``--tolerance`` of the baseline (deterministic, so any drift is a
   real behaviour change, not noise).
 * repeatable ``--ceiling METRIC=X`` flags enforce absolute *upper*

@@ -120,7 +120,7 @@ RUNNERS = {"opdca": run_opdca, "admission": run_admission,
 #: Per-phase buckets of the admission hot path: own-time (tottime) of
 #: every profiled function whose name matches one of the patterns is
 #: summed into the bucket.  Names, not filenames, so the table stays
-#: stable across the monolithic and sharded engines (see
+#: stable across shard counts and engine refactors (see
 #: ``docs/kernels.md`` for the walkthrough).
 PHASES: "dict[str, tuple[str, ...]]" = {
     # Level-bound evaluation: single frontier probes and batch rows,

@@ -33,10 +33,10 @@ Axis semantics
     MILP backend of the batch OPT approach.  Ignored by stream
     families.
 ``shards``
-    Resource-shard count of the online admission engine (1 = the
-    monolithic single-cell engine; > 1 runs the sharded engine over a
-    blocked :class:`~repro.core.partition.ShardMap`).  Ignored by
-    batch families.
+    Resource-shard count of the online admission engine (1 = one
+    cell over the whole universe; > 1 splits it into one cell per
+    blocked :class:`~repro.core.partition.ShardMap` shard).  Ignored
+    by batch families.
 ``seed``
     Explicit seed list; every scenario carries its own seed, so the
     shard a scenario lands on can never change its result.

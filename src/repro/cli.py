@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "tier per instance size); decisions are "
                         "identical under every tier")
     p.add_argument("--shards", type=positive_int, default=1,
-                   help="resource shards: 1 runs the monolithic "
-                        "single-cell engine; N > 1 splits each "
+                   help="resource shards: 1 runs one admission "
+                        "cell over the whole universe; N > 1 splits each "
                         "stage's resource pool into N blocked shards "
                         "and admits cross-shard jobs by two-phase "
                         "reservation (needs >= N resources per stage)")

@@ -19,16 +19,19 @@ Modules
     The stream-agnostic :class:`AdmissionCell` decision core: one
     universe, one analyzer, one retry queue, plus the two-phase
     reservation primitives the shard layer coordinates with.
-:mod:`repro.online.engine`
-    The event-driven :class:`OnlineAdmissionEngine` (a single-cell
-    stream driver), simulator-backed validation hook and scenario
-    sweep helpers.
 :mod:`repro.online.sharded`
-    :class:`ShardedAdmissionEngine`: one cell per resource shard,
-    footprint routing and pessimistic cross-shard reservation.
+    :class:`ShardedAdmissionEngine`, the one event-driven stream
+    driver: one cell per resource shard (a single cell at the default
+    ``shards=1``), footprint routing, certified cross-shard
+    reservation and the simulator-backed validation hook.
+:mod:`repro.online.engine`
+    Scenario specs, replay and parallel sweep helpers with
+    result-store caching; :class:`OnlineAdmissionEngine` is the
+    driver's historical name.
 :mod:`repro.online.metrics`
     Per-event time series (acceptance ratio, rejected heaviness,
-    utilisation, churn, decision latency) and run summaries.
+    utilisation, churn, decision latency), run summaries and the
+    :class:`OnlineRunResult` payload.
 
 The CLI front end is ``python -m repro online``.
 """
@@ -37,12 +40,10 @@ from repro.online.cell import AdmissionCell, CellEvent, Reservation
 from repro.online.engine import (
     ONLINE_CALL_KEY,
     OnlineAdmissionEngine,
-    OnlineRunResult,
     OnlineScenarioSpec,
     evaluate_online,
     online_work_item,
     run_online_scenario,
-    stream_events,
 )
 from repro.online.incremental import (
     IncrementalAnalyzer,
@@ -56,6 +57,7 @@ from repro.online.incremental import (
 from repro.online.metrics import (
     EventRecord,
     OnlineMetrics,
+    OnlineRunResult,
     admitted_utilisation,
     format_online_table,
     latency_percentiles,
@@ -74,6 +76,7 @@ from repro.online.streams import (
     generate_stream,
     load_stream,
     save_stream,
+    stream_events,
 )
 
 __all__ = [

@@ -1,22 +1,18 @@
 """The admission *cell*: the stream-agnostic decision core.
 
 :class:`AdmissionCell` is the admit/evict/retry heart extracted from
-the original monolithic online engine.  One cell owns exactly one
+the online engine's driver loop.  One cell owns exactly one
 universe :class:`~repro.core.system.JobSet`, one incremental analyzer
 (or the cold path), one bounded FIFO retry queue and one decision
 memo, and exposes pure *event* methods -- :meth:`arrival`,
 :meth:`departure`, :meth:`retry_pass` -- that return structured
 :class:`CellEvent` outcomes.  Everything stream-shaped (event
 ordering, time series, snapshots, validation hooks, run results) lives
-in the drivers:
-
-* :class:`~repro.online.engine.OnlineAdmissionEngine` drives a single
-  cell over a whole stream -- bitwise identical to the pre-refactor
-  engine on every event (property-tested in ``tests/online``);
-* :class:`~repro.online.sharded.ShardedAdmissionEngine` hosts one
-  cell per resource shard and coordinates cross-shard jobs through
-  the cell's two-phase :meth:`reserve` / :meth:`commit_reservation`
-  primitives.
+in the one stream driver,
+:class:`~repro.online.sharded.ShardedAdmissionEngine`: it hosts one
+cell per resource shard (a single cell over the whole universe when
+``shards=1``) and coordinates cross-shard jobs through the cell's
+two-phase :meth:`reserve` / :meth:`commit_reservation` primitives.
 
 Cells speak *local* job indices: the indices of their own universe.
 Translation from global stream uids to per-shard locals is the shard
@@ -45,6 +41,10 @@ from repro.online.incremental import (
 
 #: Entry cap of a cell's decision memo (FIFO).
 DECISION_MEMO_LIMIT = 256
+
+#: Decision modes a cell accepts: sliced incremental analysis or a
+#: cold re-analysis per decision (identical decisions either way).
+CELL_MODES = ("incremental", "cold")
 
 #: Level-evaluation kernels a cell accepts (the shared tier registry
 #: of :mod:`repro.core.kernels`; validated here so the CLI knob fails
@@ -206,9 +206,9 @@ class AdmissionCell:
                  cache=None,
                  kernel: str = "paired",
                  parkable: "Callable[[int], bool] | None" = None) -> None:
-        if mode not in ("incremental", "cold"):
+        if mode not in CELL_MODES:
             raise ValueError(
-                f"mode must be 'incremental' or 'cold', got {mode!r}")
+                f"mode must be one of {CELL_MODES}, got {mode!r}")
         if retry_limit < 0:
             raise ValueError(
                 f"retry_limit must be >= 0, got {retry_limit}")

@@ -1,80 +1,53 @@
-"""Event-driven streaming admission-control engine.
+"""Online admission scenarios: specs, replay and result-store plumbing.
 
-:class:`OnlineAdmissionEngine` consumes a materialised
-:class:`~repro.online.streams.OnlineStream` one timestamped event at a
-time and keeps the admitted job set schedulable throughout:
-
-* an **arrival** runs the OPDCA admission controller (Section VI.B of
-  the paper, Algorithm 1 with the modified Step 10) over
-  ``admitted + {new job}``.  The new job is accepted iff the
-  controller keeps it; previously admitted jobs it discards are
-  *evicted* (counted as churn) and parked in the retry queue.
-* a **departure** frees the leaving job's capacity (and, through
-  :meth:`~repro.online.incremental.IncrementalAnalyzer.depart`, purges
-  the persistent universe analyzer's memo entries involving the job --
-  memory hygiene for ``delay_of`` consumers, not part of the per-event
-  fast path), then tries to re-admit parked jobs from the bounded FIFO
-  retry queue -- a parked job is re-admitted only if the controller
-  accepts the *whole* candidate set (no eviction cascades on
-  departures).
-* ties are deterministic: departures at time ``t`` are processed
-  before arrivals at ``t`` (capacity freed at ``t`` is usable by an
-  arrival at ``t``), mirroring the ``_COMPLETE < _ARRIVE`` convention
-  of the discrete-event simulator.
-
-The decision core itself -- admit/evict/retry over one universe --
-lives in :class:`~repro.online.cell.AdmissionCell`; this engine is the
-single-cell stream driver (event ordering, metrics time series,
-snapshots, validation hooks, run results).
-:class:`~repro.online.sharded.ShardedAdmissionEngine` drives many
-cells over a resource-partitioned universe and is what
-:func:`run_online_scenario` dispatches to when ``spec.shards > 1``.
-
-Every decision is produced by
-:func:`repro.online.incremental.incremental_admission` over a sliced
-(warm) subset analysis, and is bitwise identical to rebuilding the
-analysis cold and calling
-:func:`repro.core.admission.opdca_admission` -- the property tests in
-``tests/online`` replay every event cold and compare accepted sets,
-orderings and delay vectors exactly.  ``mode="cold"`` makes the
-engine itself take the cold path (the reference for the
-``BENCH_online`` speedup gate).
-
-The optional validation hook replays accepted epochs through
-:class:`~repro.sim.engine.PipelineSimulator` and asserts that no
-admitted job misses its deadline under the assigned priorities.
+:func:`run_online_scenario` replays one :class:`OnlineScenarioSpec`
+through the stream driver,
+:class:`~repro.online.sharded.ShardedAdmissionEngine`;
+:func:`evaluate_online` runs many in parallel with result-store
+caching.  The driver's historical name :class:`OnlineAdmissionEngine`,
+the event order, the run result and the epoch validation primitive are
+re-exported from here for existing importers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import obs
-from repro.core.admission import AdmissionResult, ordering_of_accepted
-from repro.core.schedulability import Policy, resolve_equation
-from repro.core.system import JobSet
-from repro.online.cell import AdmissionCell, CellEvent
-from repro.online.metrics import (
-    ONLINE_RESULT_FORMAT,
-    ONLINE_RESULT_VERSION,
-    WALL_CLOCK_KEYS,
-    EventRecord,
-    OnlineMetrics,
-    admitted_utilisation,
+from repro.online.metrics import OnlineRunResult
+from repro.online.sharded import (
+    ShardedAdmissionEngine,
+    epoch_validation_failures,
 )
-from repro.online.streams import OnlineStream, StreamConfig, generate_stream
+from repro.online.streams import (
+    EVENT_ARRIVE,
+    EVENT_DEPART,
+    StreamConfig,
+    generate_stream,
+    stream_events,
+)
 
-#: Event-kind codes: departures at time t are dispatched before
-#: arrivals at t (capacity freed at t serves an arrival at t), exactly
-#: like ``_COMPLETE < _ARRIVE`` in :mod:`repro.sim.engine`.
-EVENT_DEPART, EVENT_ARRIVE = 0, 1
+__all__ = [
+    "EVENT_ARRIVE",
+    "EVENT_DEPART",
+    "ONLINE_CALL_KEY",
+    "OnlineAdmissionEngine",
+    "OnlineRunResult",
+    "OnlineScenarioSpec",
+    "epoch_validation_failures",
+    "evaluate_online",
+    "online_work_item",
+    "run_online_scenario",
+    "run_online_scenario_dict",
+    "stream_events",
+]
 
 #: Result-store key of one online scenario evaluation; bump when the
 #: engine's semantics change so stale cached runs are never served.
 #: v2: specs grew ``shards`` / ``kernel`` and results record them.
-ONLINE_CALL_KEY = "online/run@v2"
+#: v3: one driver for every shard count, so 1-shard summaries carry
+#: ``sharding`` too.
+ONLINE_CALL_KEY = "online/run@v3"
 
 
 @dataclass(frozen=True)
@@ -88,506 +61,29 @@ class OnlineScenarioSpec:
     retry_limit: int = 16
     #: Replay every k-th accepted epoch through the simulator (0 = off).
     validate_every: int = 0
-    #: Resource shards (1 = the monolithic single-cell engine; > 1
-    #: dispatches to the sharded engine over a blocked ShardMap).
+    #: Resource shards of the engine (blocked ShardMap; 1 = one cell
+    #: over the whole universe).
     shards: int = 1
     #: Level-evaluation kernel of the admission analyzers.
     kernel: str = "paired"
 
 
-@dataclass
-class OnlineRunResult:
-    """Outcome of one engine run over one stream."""
+class OnlineAdmissionEngine(ShardedAdmissionEngine):
+    """The stream driver under its historical name.
 
-    seed: int
-    stream_kind: str
-    policy: str
-    mode: str
-    horizon: float
-    records: list[EventRecord]
-    summary: dict
-    final_admitted: list[int]
-    validation_failures: list[str] = field(default_factory=list)
-    shards: int = 1
-    kernel: str = "paired"
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (exact: floats survive bitwise via repr)."""
-        return {
-            "format": ONLINE_RESULT_FORMAT,
-            "version": ONLINE_RESULT_VERSION,
-            "seed": int(self.seed),
-            "stream_kind": str(self.stream_kind),
-            "policy": str(self.policy),
-            "mode": str(self.mode),
-            "horizon": float(self.horizon),
-            "records": [record.to_dict() for record in self.records],
-            "summary": dict(self.summary),
-            "final_admitted": [int(u) for u in self.final_admitted],
-            "validation_failures": [str(v)
-                                    for v in self.validation_failures],
-            "shards": int(self.shards),
-            "kernel": str(self.kernel),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OnlineRunResult":
-        if data.get("format") != ONLINE_RESULT_FORMAT or \
-                int(data.get("version", -1)) != ONLINE_RESULT_VERSION:
-            raise ValueError(
-                f"not a {ONLINE_RESULT_FORMAT} "
-                f"v{ONLINE_RESULT_VERSION} payload: "
-                f"format={data.get('format')!r} "
-                f"version={data.get('version')!r}")
-        return cls(
-            seed=int(data["seed"]),
-            stream_kind=str(data["stream_kind"]),
-            policy=str(data["policy"]),
-            mode=str(data["mode"]),
-            horizon=float(data["horizon"]),
-            records=[EventRecord.from_dict(r) for r in data["records"]],
-            summary=dict(data["summary"]),
-            final_admitted=[int(u) for u in data["final_admitted"]],
-            validation_failures=[str(v)
-                                 for v in data["validation_failures"]],
-            shards=int(data.get("shards", 1)),
-            kernel=str(data.get("kernel", "paired")))
-
-    def deterministic_dict(self) -> dict:
-        """``to_dict`` minus every wall-clock field: identical across
-        reruns, worker counts and machines for the same spec."""
-        payload = self.to_dict()
-        for record in payload["records"]:
-            record.pop("latency")
-        for key in WALL_CLOCK_KEYS:
-            payload["summary"].pop(key)
-        sharding = payload["summary"].get("sharding")
-        if isinstance(sharding, dict):
-            for key in WALL_CLOCK_KEYS:
-                sharding.pop(key, None)
-        return payload
-
-
-def _sim_preemption_flags(policy: "str | Policy",
-                          system) -> list[bool]:
-    """Per-stage preemption flags matching the analysis equation."""
-    equation = resolve_equation(policy)
-    if equation == "eq10":
-        return list(system.preemptive_flags)
-    if equation in ("eq2", "eq4", "eq5"):
-        return [False] * system.num_stages
-    return [True] * system.num_stages
-
-
-def epoch_validation_failures(universe: JobSet,
-                              policy: "str | Policy",
-                              event_index: int,
-                              result: AdmissionResult,
-                              candidate: "list[int]") -> list[str]:
-    """Replay one accepted epoch through the pipeline simulator.
-
-    ``candidate`` maps the result's local indices back to universe
-    uids.  Returns one message per admitted job that misses its
-    deadline in simulation under the result's priority assignment --
-    the shared validation primitive of both stream drivers.
+    Exactly :class:`~repro.online.sharded.ShardedAdmissionEngine` --
+    same constructor, same decisions; at the default ``shards=1`` it
+    is one cell over the whole universe.
     """
-    from repro.sim.engine import PipelineSimulator
-
-    if not result.accepted:
-        return []
-    ordering = ordering_of_accepted(result)
-    accepted_ids = [candidate[i] for i in result.accepted]
-    epoch = universe.restrict(accepted_ids)
-    flags = _sim_preemption_flags(policy, epoch.system)
-    sim = PipelineSimulator(epoch, ordering, preemptive=flags).run()
-    return [
-        f"event {event_index}: admitted job "
-        f"{accepted_ids[position]} misses its deadline in "
-        f"simulation (delay {sim.delays[position]:.3f} > "
-        f"D {epoch.D[position]:.3f})"
-        for position in sim.missed_jobs()
-    ]
-
-
-class OnlineAdmissionEngine:
-    """Replay one stream through the admission controller.
-
-    A thin driver over a single :class:`~repro.online.cell.
-    AdmissionCell`: the cell takes every admit/evict/retry decision;
-    this class owns event ordering, stream-level metrics and the
-    validation hook.
-
-    Parameters
-    ----------
-    stream:
-        The materialised event stream.
-    policy:
-        Scheduling policy / DCA equation for the admission test.
-    mode:
-        ``"incremental"`` (sliced caches + lazy level evaluation,
-        the default) or ``"cold"`` (full re-analysis per event; the
-        benchmark reference).  Decisions are identical either way.
-    retry_limit:
-        Capacity of the FIFO retry queue; the oldest parked job is
-        dropped when a newcomer overflows it.
-    validate_every:
-        Replay every k-th accepted epoch through the simulator
-        (0 disables the hook).
-    record_decisions:
-        Keep every (event, candidate set, admission result) triple on
-        ``decisions`` for the cold-equivalence property tests.
-    kernel:
-        Level-evaluation kernel of the admission analyzers
-        (``"paired"`` or ``"reference"``; decisions are identical).
-    slate_window:
-        Coalesce consecutive arrivals within this many time units of
-        each other into one micro-batched slate decision
-        (:meth:`~repro.online.cell.AdmissionCell.arrival_slate`);
-        departures always break a slate.  ``0.0`` (the default)
-        replays strictly one event at a time.  Engine-level: a replay
-        knob, deliberately not part of :class:`OnlineScenarioSpec` --
-        cached scenario results always come from unbatched replays.
-        The batched path is disabled automatically when per-event
-        decision records or epoch validation are requested (both need
-        the sequential per-arrival results).
-    """
-
-    def __init__(self, stream: OnlineStream, *,
-                 policy: "str | Policy" = Policy.PREEMPTIVE,
-                 mode: str = "incremental",
-                 retry_limit: int = 16,
-                 validate_every: int = 0,
-                 record_decisions: bool = False,
-                 kernel: str = "paired",
-                 slate_window: float = 0.0) -> None:
-        if slate_window < 0.0:
-            raise ValueError(
-                f"slate_window must be >= 0, got {slate_window}")
-        self._stream = stream
-        self._policy = policy
-        self._mode = mode
-        self._kernel = kernel
-        self._slate_window = slate_window
-        self._validate_every = validate_every
-        self._universe: JobSet | None = (
-            stream.universe() if stream.events else None)
-        self._departure_of = {event.uid: event.departure
-                              for event in stream.events}
-        self._cell = AdmissionCell(
-            self._universe, policy=policy, mode=mode,
-            retry_limit=retry_limit, departure_of=self._departure_of,
-            kernel=kernel)
-        #: (index, kind, uid, candidate, result) log; retry entries
-        #: carry ``None`` when the candidate set did not fit whole.
-        self.decisions: "list[tuple]" = []
-        self._record_decisions = record_decisions
-
-        self._seen: set[int] = set()
-        self._metrics = OnlineMetrics(self._universe)
-        self._heaviness: "np.ndarray | None" = None
-        self._accept_count = 0
-        self._validation_failures: list[str] = []
-        self._event_index = 0
-
-    @property
-    def universe(self) -> "JobSet | None":
-        return self._universe
-
-    @property
-    def incremental(self):
-        return self._cell.incremental
-
-    @property
-    def cell(self) -> AdmissionCell:
-        return self._cell
-
-    @property
-    def decision_seconds(self) -> float:
-        """Wall-clock seconds inside the admission decision path --
-        the quantity the BENCH_online speedup gates compare."""
-        return self._cell.decision_seconds
-
-    @property
-    def decision_count(self) -> int:
-        return self._cell.decision_count
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def _absorb_commit(self, event: CellEvent) -> None:
-        """Fold one committed cell outcome into the stream metrics."""
-        self._metrics.ever_admitted |= self._cell.admitted
-        self._metrics.evictions += len(event.evicted)
-        self._metrics.rank_changes += event.flips
-        self._metrics.retry_drops += event.retry_drops
-
-    def _validate_epoch(self, event_index: int,
-                        result: AdmissionResult,
-                        candidate: "list[int]") -> None:
-        """Replay the accepted epoch through the pipeline simulator."""
-        self._validation_failures.extend(epoch_validation_failures(
-            self._universe, self._policy, event_index, result,
-            candidate))
-
-    def _maybe_validate(self, event_index: int, result: AdmissionResult,
-                        candidate: "list[int]") -> None:
-        self._accept_count += 1
-        if self._validate_every and \
-                self._accept_count % self._validate_every == 0:
-            self._validate_epoch(event_index, result, candidate)
-
-    def _snapshot(self, index: int, now: float, kind: str, uid: int,
-                  decision: str, evicted: "tuple[int, ...]",
-                  flips: int, latency: float,
-                  admitted_set: "set[int] | None" = None
-                  ) -> EventRecord:
-        # ``admitted_set`` overrides the cell's live admitted set: the
-        # slate path absorbs its members *after* the whole slate
-        # committed, so per-member records must read the replayed
-        # running set, not the cell's (final) state.
-        if admitted_set is None:
-            admitted_set = self._cell.admitted
-        metrics = self._metrics
-        record = EventRecord(
-            index=index, time=now, kind=kind, uid=uid,
-            decision=decision, evicted=evicted,
-            admitted=len(admitted_set),
-            acceptance_ratio=metrics.acceptance_ratio(),
-            rejected_heaviness=metrics.rejected_heaviness(self._seen),
-            utilisation=self._utilisation(admitted_set),
-            rank_changes=flips, latency=latency)
-        metrics.record(record)
-        return record
-
-    def _utilisation(self, admitted: "set[int] | None" = None) -> float:
-        if admitted is None:
-            admitted = self._cell.admitted
-        if self._universe is None or not admitted:
-            return 0.0
-        if self._heaviness is None:
-            from repro.workload.heaviness import heaviness_matrix
-
-            self._heaviness = heaviness_matrix(self._universe)
-        mask = np.zeros(self._universe.num_jobs, dtype=bool)
-        mask[sorted(admitted)] = True
-        return admitted_utilisation(self._universe, mask,
-                                    heaviness=self._heaviness)
-
-    def _log_decision(self, index: int, kind: str, uid: int,
-                      candidate: "tuple[int, ...]",
-                      result: "AdmissionResult | None") -> None:
-        if self._record_decisions:
-            self.decisions.append(
-                (index, kind, uid, tuple(candidate), result))
-
-    # -- event handlers ----------------------------------------------
-
-    def _on_arrival(self, index: int, now: float, uid: int) -> None:
-        self._seen.add(uid)
-        self._metrics.arrivals += 1
-        event = self._cell.arrival(uid)
-        self._log_decision(index, "arrive", uid, event.candidate,
-                           event.result)
-        self._absorb_commit(event)
-        self._snapshot(index, now, "arrive", uid, event.decision,
-                       event.evicted, event.flips, event.seconds)
-        if event.decision == "accept":
-            self._maybe_validate(index, event.result,
-                                 list(event.candidate))
-
-    def _on_departure(self, index: int, now: float, uid: int) -> None:
-        event = self._cell.departure(uid)
-        if event.decision == "expire":
-            self._metrics.expired += 1
-        self._snapshot(index, now, "depart", uid, event.decision, (),
-                       0, event.seconds)
-        if event.decision == "free":
-            self._retry_pass(index, now)
-
-    def _retry_pass(self, index: int, now: float) -> None:
-        """Drain the cell's retry pass, snapshotting each re-admission
-        with the admitted set exactly as it stood at that point."""
-        for event in self._cell.retry_pass(now):
-            self._log_decision(index, "retry", event.uid,
-                               event.candidate, event.result)
-            if event.result is None:
-                continue
-            self._absorb_commit(event)
-            self._metrics.retry_accepts += 1
-            self._snapshot(index, now, "retry", event.uid, "accept",
-                           (), event.flips, event.seconds)
-            self._maybe_validate(index, event.result,
-                                 list(event.candidate))
-
-    # -- driver -------------------------------------------------------
-
-    def process(self, now: float, kind: str,
-                uid: int) -> "list[EventRecord]":
-        """Feed one timestamped event and return its event records.
-
-        The public single-event entry point (``repro.serve`` hosts
-        engines behind a long-running service through it; :meth:`run`
-        is exactly this in a loop, so a served event stream is bitwise
-        identical to a batch replay of the same events in the same
-        order).  ``kind`` is ``"arrive"`` or ``"depart"``; the caller
-        owns chronological ordering and the depart-before-arrive tie
-        rule.  Returns the :class:`~repro.online.metrics.EventRecord`
-        entries the event appended -- one for an arrival, one plus any
-        retry re-admissions for a departure.
-        """
-        if kind not in ("arrive", "depart"):
-            raise ValueError(
-                f"kind must be 'arrive' or 'depart', got {kind!r}")
-        before = len(self._metrics.records)
-        index = self._event_index
-        self._event_index += 1
-        if kind == "arrive":
-            self._on_arrival(index, now, uid)
-        else:
-            self._on_departure(index, now, uid)
-        return self._metrics.records[before:]
-
-    def result(self) -> OnlineRunResult:
-        """The run outcome over everything processed so far."""
-        config = self._stream.config
-        return OnlineRunResult(
-            seed=self._stream.seed,
-            stream_kind=config.kind,
-            policy=resolve_equation(self._policy),
-            mode=self._mode,
-            horizon=float(config.horizon),
-            records=self._metrics.records,
-            summary=self._metrics.summary(),
-            final_admitted=sorted(self._cell.admitted),
-            validation_failures=self._validation_failures,
-            kernel=self._kernel)
-
-    def _process_arrival_slate(
-            self, arrivals: "list[tuple[float, int]]") -> None:
-        """Feed one coalesced ``(time, uid)`` arrival slate through
-        the cell's micro-batched decision path, snapshotting one event
-        record per member (slate order) exactly like sequential
-        replay."""
-        uids = [uid for _, uid in arrivals]
-        running = set(self._cell.admitted)
-        events = self._cell.arrival_slate(uids)
-        for (now, uid), event in zip(arrivals, events):
-            self._seen.add(uid)
-            self._metrics.arrivals += 1
-            index = self._event_index
-            self._event_index += 1
-            # Per-event absorb from the event's *own* outcome: the
-            # cell's live admitted set only reflects the slate's final
-            # state, which would miss members transiently admitted
-            # then evicted mid-slate on the sequential fallback.  The
-            # replayed ``running`` set keeps each member's record
-            # (admitted count, utilisation) identical to sequential
-            # processing for the same reason.
-            if event.decision == "accept":
-                running.add(uid)
-            running.difference_update(event.evicted)
-            self._metrics.evictions += len(event.evicted)
-            self._metrics.rank_changes += event.flips
-            self._metrics.retry_drops += event.retry_drops
-            if event.result is not None:
-                self._metrics.ever_admitted |= {
-                    event.candidate[i] for i in event.result.accepted}
-            elif event.decision == "accept":
-                # Fast-path intermediate: a certain accept whose
-                # result rides on the slate's final event.
-                self._metrics.ever_admitted.add(uid)
-            self._snapshot(index, now, "arrive", uid, event.decision,
-                           event.evicted, event.flips, event.seconds,
-                           admitted_set=running)
-
-    def process_slate(self, arrivals: "list[tuple[float, int]]"
-                      ) -> "list[EventRecord]":
-        """Feed a coalesced ``(time, uid)`` arrival slate; the
-        multi-event counterpart of :meth:`process`.
-
-        The caller owns the coalescing policy (e.g. the serve
-        batcher's queue-adjacency grouping) -- this entry point does
-        not consult ``slate_window``.  Members must be time-sorted; a
-        slate that cannot take the micro-batched path (single member,
-        duplicate or already-admitted uids, decision recording or
-        periodic validation enabled) degrades to sequential
-        :meth:`process` calls, so the outcome is always identical to
-        feeding the members one at a time.  Returns one event record
-        per member, in slate order.
-        """
-        arrivals = [(float(now), int(uid)) for now, uid in arrivals]
-        uids = [uid for _, uid in arrivals]
-        admitted = self._cell.admitted
-        slate_ok = (len(arrivals) > 1
-                    and not self._record_decisions
-                    and not self._validate_every
-                    and len(set(uids)) == len(uids)
-                    and not any(uid in admitted for uid in uids)
-                    and all(arrivals[k][0] <= arrivals[k + 1][0]
-                            for k in range(len(arrivals) - 1)))
-        before = len(self._metrics.records)
-        if slate_ok:
-            self._process_arrival_slate(arrivals)
-        else:
-            for now, uid in arrivals:
-                self.process(now, "arrive", uid)
-        return self._metrics.records[before:]
-
-    def run(self) -> OnlineRunResult:
-        """Process every event chronologically and return the result."""
-        events = stream_events(self._stream)
-        if self._slate_window <= 0.0 or self._record_decisions or \
-                self._validate_every:
-            # Stock sequential replay (and the only path that can
-            # serve per-event decision records / epoch validation).
-            for now, kind, uid in events:
-                self.process(
-                    now,
-                    "arrive" if kind == EVENT_ARRIVE else "depart",
-                    uid)
-            return self.result()
-        i = 0
-        total = len(events)
-        while i < total:
-            now, kind, uid = events[i]
-            if kind != EVENT_ARRIVE:
-                self.process(now, "depart", uid)
-                i += 1
-                continue
-            j = i + 1
-            while j < total and events[j][1] == EVENT_ARRIVE and \
-                    events[j][0] - now <= self._slate_window:
-                j += 1
-            self._process_arrival_slate(
-                [(time_, uid_) for time_, _, uid_ in events[i:j]])
-            i = j
-        return self.result()
-
-
-def stream_events(stream: OnlineStream) -> "list[tuple[float, int, int]]":
-    """Chronological ``(time, kind, uid)`` event list of a stream.
-
-    ``kind`` is :data:`EVENT_DEPART` (0) or :data:`EVENT_ARRIVE` (1),
-    so the plain tuple sort realises the depart-before-arrive tie rule.
-    This is *the* replay order of both engine drivers and of the serve
-    load generator -- anything feeding :meth:`OnlineAdmissionEngine.
-    process` directly should derive its ordering from here to stay
-    bitwise comparable with a batch run.
-    """
-    events = []
-    for event in stream.events:
-        events.append((event.arrival, EVENT_ARRIVE, event.uid))
-        events.append((event.departure, EVENT_DEPART, event.uid))
-    events.sort()
-    return events
 
 
 def run_online_scenario(spec: OnlineScenarioSpec) -> OnlineRunResult:
     """Materialise and replay one scenario (worker entry point).
 
     When a trace exporter is configured (``--trace``), the run emits
-    a ``online.scenario`` span tree: one child per stage, with
-    kernel-cache and (sharded) certificate counters attached as
-    attributes on completion.  Telemetry never feeds back into any
+    a ``online.scenario`` span tree: one child per stage, with the
+    cell counters summed over cells and the sharding counters attached
+    as attributes on completion.  Telemetry never feeds back into any
     decision, so traced and untraced runs are bitwise identical.
     """
     shards = int(getattr(spec, "shards", 1))
@@ -599,48 +95,26 @@ def run_online_scenario(spec: OnlineScenarioSpec) -> OnlineRunResult:
         with obs.span("online.stream.generate") as stage:
             stream = generate_stream(spec.stream, seed=spec.seed)
             stage.set_attribute("jobs", len(stream.events))
-        if shards > 1:
-            from repro.online.sharded import ShardedAdmissionEngine
-
-            engine = ShardedAdmissionEngine(
-                stream, shards=shards, policy=spec.policy,
-                mode=spec.mode, retry_limit=spec.retry_limit,
-                validate_every=spec.validate_every, kernel=kernel)
-            with obs.span("online.engine.run",
-                          engine="sharded") as stage:
-                with obs.maybe_profile(stage):
-                    result = engine.run()
-            sharding = result.summary.get("sharding")
-            if isinstance(sharding, dict):
-                scenario.update_attributes({
-                    key: sharding[key]
-                    for key in ("global_certifies", "quick_certifies",
-                                "revocations", "cross_certify_rejects")
-                    if key in sharding})
-        else:
-            mono = OnlineAdmissionEngine(
-                stream, policy=spec.policy, mode=spec.mode,
-                retry_limit=spec.retry_limit,
-                validate_every=spec.validate_every, kernel=kernel)
-            with obs.span("online.engine.run",
-                          engine="mono") as stage:
-                with obs.maybe_profile(stage):
-                    result = mono.run()
-            cell_stats = mono.cell.obs_stats()
-            scenario.update_attributes({
-                "decisions": cell_stats["decisions"],
-                "memo_hits": cell_stats["memo_hits"],
-                "memo_misses": cell_stats["memo_misses"],
-                "kernel_cache_hits":
-                    cell_stats["kernel_cache_hits"],
-                "kernel_cache_misses":
-                    cell_stats["kernel_cache_misses"],
-            })
+        engine = ShardedAdmissionEngine(
+            stream, shards=shards, policy=spec.policy, mode=spec.mode,
+            retry_limit=spec.retry_limit,
+            validate_every=spec.validate_every, kernel=kernel)
+        with obs.span("online.engine.run") as stage:
+            with obs.maybe_profile(stage):
+                result = engine.run()
+        cell_stats = [cell.obs_stats() for cell in engine.cells]
+        scenario.update_attributes({
+            key: sum(stats[key] for stats in cell_stats)
+            for key in ("decisions", "memo_hits", "memo_misses",
+                        "kernel_cache_hits", "kernel_cache_misses")})
+        sharding = result.summary["sharding"]
+        scenario.update_attributes({
+            key: sharding[key]
+            for key in ("global_certifies", "quick_certifies",
+                        "revocations", "cross_certify_rejects")})
         scenario.set_attribute(
             "acceptance_ratio",
             result.summary.get("acceptance_ratio"))
-    result.shards = shards
-    result.kernel = kernel
     return result
 
 

@@ -17,7 +17,7 @@ wall-clock fields).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,9 +220,82 @@ class OnlineMetrics:
 WALL_CLOCK_KEYS = ("latency_p50_ms", "latency_p99_ms", "events_per_sec")
 
 
+@dataclass
+class OnlineRunResult:
+    """Outcome of one engine run over one stream."""
+
+    seed: int
+    stream_kind: str
+    policy: str
+    mode: str
+    horizon: float
+    records: list[EventRecord]
+    summary: dict
+    final_admitted: list[int]
+    validation_failures: list[str] = field(default_factory=list)
+    shards: int = 1
+    kernel: str = "paired"
+
+    def to_dict(self) -> dict:
+        """JSON-ready form (exact: floats survive bitwise via repr)."""
+        return {
+            "format": ONLINE_RESULT_FORMAT,
+            "version": ONLINE_RESULT_VERSION,
+            "seed": int(self.seed),
+            "stream_kind": str(self.stream_kind),
+            "policy": str(self.policy),
+            "mode": str(self.mode),
+            "horizon": float(self.horizon),
+            "records": [record.to_dict() for record in self.records],
+            "summary": dict(self.summary),
+            "final_admitted": [int(u) for u in self.final_admitted],
+            "validation_failures": [str(v)
+                                    for v in self.validation_failures],
+            "shards": int(self.shards),
+            "kernel": str(self.kernel),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "OnlineRunResult":
+        if data.get("format") != ONLINE_RESULT_FORMAT or \
+                int(data.get("version", -1)) != ONLINE_RESULT_VERSION:
+            raise ValueError(
+                f"not a {ONLINE_RESULT_FORMAT} "
+                f"v{ONLINE_RESULT_VERSION} payload: "
+                f"format={data.get('format')!r} "
+                f"version={data.get('version')!r}")
+        return cls(
+            seed=int(data["seed"]),
+            stream_kind=str(data["stream_kind"]),
+            policy=str(data["policy"]),
+            mode=str(data["mode"]),
+            horizon=float(data["horizon"]),
+            records=[EventRecord.from_dict(r) for r in data["records"]],
+            summary=dict(data["summary"]),
+            final_admitted=[int(u) for u in data["final_admitted"]],
+            validation_failures=[str(v)
+                                 for v in data["validation_failures"]],
+            shards=int(data.get("shards", 1)),
+            kernel=str(data.get("kernel", "paired")))
+
+    def deterministic_dict(self) -> dict:
+        """``to_dict`` minus every wall-clock field: identical across
+        reruns, worker counts and machines for the same spec."""
+        payload = self.to_dict()
+        for record in payload["records"]:
+            record.pop("latency")
+        for key in WALL_CLOCK_KEYS:
+            payload["summary"].pop(key)
+        sharding = payload["summary"].get("sharding")
+        if isinstance(sharding, dict):
+            for key in WALL_CLOCK_KEYS:
+                sharding.pop(key, None)
+        return payload
+
+
 def format_online_table(results, *, title: str = "online admission") -> str:
     """Plain-text summary table over a list of
-    :class:`~repro.online.engine.OnlineRunResult`."""
+    :class:`OnlineRunResult`."""
     columns = ("seed", "events", "arrivals", "accept%", "rej.heavy%",
                "mean adm", "max adm", "evict", "retry+", "p99 ms",
                "ev/s")

@@ -1,16 +1,35 @@
-"""Sharded streaming admission: many cells, one stream.
+"""The online stream driver: one stream, one cell per resource shard.
 
-:class:`ShardedAdmissionEngine` scales the online admission controller
-past one resource cluster by partitioning the system's resources into
-shards (:class:`~repro.core.partition.ShardMap`) and hosting one
-:class:`~repro.online.cell.AdmissionCell` per shard.  Every arrival is
-routed by its resource footprint:
+:class:`ShardedAdmissionEngine` replays a materialised
+:class:`~repro.online.streams.OnlineStream` one timestamped event at a
+time and keeps the admitted job set schedulable throughout.  The
+decisions themselves are the OPDCA admission controller (Section VI.B
+of the paper, Algorithm 1 with the modified Step 10), taken by
+:class:`~repro.online.cell.AdmissionCell`:
+
+* an **arrival** runs the controller over ``admitted + {new job}``.
+  The new job is accepted iff the controller keeps it; previously
+  admitted jobs it discards are *evicted* (counted as churn) and
+  parked in a bounded FIFO retry queue.
+* a **departure** frees the leaving job's capacity, then tries to
+  re-admit parked jobs -- a parked job is re-admitted only if the
+  controller accepts the *whole* candidate set (no eviction cascades
+  on departures).
+* ties are deterministic: departures at time ``t`` are processed
+  before arrivals at ``t`` (:func:`~repro.online.streams.
+  stream_events`), mirroring the ``_COMPLETE < _ARRIVE`` convention of
+  the discrete-event simulator.
+
+The engine scales past one resource cluster by partitioning the
+system's resources into shards
+(:class:`~repro.core.partition.ShardMap`) and hosting one cell per
+shard; ``shards=1`` (the default) is a single cell over the whole
+universe.  Every arrival is routed by its resource footprint:
 
 * a **shard-local** job (footprint inside one shard) goes through its
-  home cell's full controller, exactly like the monolithic engine --
-  and because jobs in different shards never share a resource, those
-  decisions are *exact*, not approximate (see
-  :mod:`repro.core.partition`).
+  home cell's full controller -- and because jobs in different shards
+  never share a resource, those decisions are *exact*, not
+  approximate (see :mod:`repro.core.partition`).
 * a **cross-shard** job (footprint spanning shards) is admitted by
   conservative two-phase reservation: phase 1 asks every touched cell
   whether the job fits *whole, with no evictions*
@@ -66,19 +85,27 @@ search runs only when that probe fails, and Audsley's completeness
 for OPA-compatible bounds makes the accept/reject decisions identical
 either way.
 
-With ``shards=1`` every job is shard-local and the single cell sees
-the identity-restricted universe, so the engine is bitwise identical
-to :class:`~repro.online.engine.OnlineAdmissionEngine` -- decisions,
-churn, metrics time series -- which the property tests in
-``tests/online/test_sharded.py`` replay event-for-event.  The price of
-sharding is conservatism on cross-shard jobs only (no-eviction
-reservations plus the global certificate, where the oracle's full
+With ``shards=1`` the single cell owns the universe and its segment
+cache outright, so every event is one plain controller decision.
+``tests/online/test_engine.py`` rebuilds every such decision cold
+through :func:`repro.core.admission.opdca_admission` and compares
+accepted sets, orderings and delay vectors exactly;
+``tests/online/test_single_cell_golden.py`` pins whole runs to digests
+recorded from the former dedicated single-cell driver.
+``mode="cold"`` makes the cells take the cold path themselves (the
+``BENCH_online`` speedup reference).  The price of sharding is
+conservatism on cross-shard jobs only (no-eviction reservations plus
+the global certificate, where the single-shard oracle's full
 controller may evict to make room): acceptance ratios stay within a
-couple of percent of the monolithic oracle on cluster-structured
-workloads while per-event candidate sets (and so decision cost)
-shrink by the shard count -- shard-local traffic never pays for the
-whole-universe analysis, which runs only for cross-shard candidates
-and for commits onto shards that currently host visitors.
+couple of percent of the oracle on cluster-structured workloads while
+per-event candidate sets (and so decision cost) shrink by the shard
+count -- shard-local traffic never pays for the whole-universe
+analysis, which runs only for cross-shard candidates and for commits
+onto shards that currently host visitors.
+
+The optional validation hook replays accepted epochs through
+:class:`~repro.sim.engine.PipelineSimulator` and records every
+admitted job that misses its deadline under the assigned priorities.
 """
 
 from __future__ import annotations
@@ -89,7 +116,7 @@ from typing import Iterable
 import numpy as np
 
 from repro import obs
-from repro.core.admission import AdmissionResult
+from repro.core.admission import AdmissionResult, ordering_of_accepted
 from repro.core.partition import Routing, ShardMap
 from repro.core.schedulability import (
     FLOAT_MONOTONE_EQUATIONS,
@@ -100,14 +127,11 @@ from repro.core.schedulability import (
 )
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
-from repro.online.cell import DECISION_MEMO_LIMIT, AdmissionCell
-from repro.online.engine import (
-    EVENT_ARRIVE,
-    EVENT_DEPART,
-    OnlineAdmissionEngine,
-    OnlineRunResult,
-    epoch_validation_failures,
-    stream_events,
+from repro.online.cell import (
+    CELL_KERNELS,
+    CELL_MODES,
+    DECISION_MEMO_LIMIT,
+    AdmissionCell,
 )
 from repro.online.incremental import (
     IncrementalAnalyzer,
@@ -118,9 +142,50 @@ from repro.online.incremental import (
 from repro.online.metrics import (
     EventRecord,
     OnlineMetrics,
+    OnlineRunResult,
     admitted_utilisation,
 )
-from repro.online.streams import OnlineStream
+from repro.online.streams import EVENT_ARRIVE, OnlineStream, stream_events
+
+
+def _sim_preemption_flags(policy: "str | Policy",
+                          system) -> list[bool]:
+    """Per-stage preemption flags matching the analysis equation."""
+    equation = resolve_equation(policy)
+    if equation == "eq10":
+        return list(system.preemptive_flags)
+    if equation in ("eq2", "eq4", "eq5"):
+        return [False] * system.num_stages
+    return [True] * system.num_stages
+
+
+def epoch_validation_failures(universe: JobSet,
+                              policy: "str | Policy",
+                              event_index: int,
+                              result: AdmissionResult,
+                              candidate: "list[int]") -> list[str]:
+    """Replay one accepted epoch through the pipeline simulator.
+
+    ``candidate`` maps the result's local indices back to universe
+    uids.  Returns one message per admitted job that misses its
+    deadline in simulation under the result's priority assignment.
+    """
+    from repro.sim.engine import PipelineSimulator
+
+    if not result.accepted:
+        return []
+    ordering = ordering_of_accepted(result)
+    accepted_ids = [candidate[i] for i in result.accepted]
+    epoch = universe.restrict(accepted_ids)
+    flags = _sim_preemption_flags(policy, epoch.system)
+    sim = PipelineSimulator(epoch, ordering, preemptive=flags).run()
+    return [
+        f"event {event_index}: admitted job "
+        f"{accepted_ids[position]} misses its deadline in "
+        f"simulation (delay {sim.delays[position]:.3f} > "
+        f"D {epoch.D[position]:.3f})"
+        for position in sim.missed_jobs()
+    ]
 
 
 class _Shard:
@@ -133,6 +198,10 @@ class _Shard:
         #: ``members[local] == global`` (ascending global uids).
         self.members = members
         self.local_of = {int(g): i for i, g in enumerate(members)}
+        #: A shard holding every job (always so with one shard) numbers
+        #: them exactly like the stream.
+        self._identity = bool(members.size) and \
+            int(members[-1]) == members.size - 1
 
     def local(self, uid: int) -> int:
         return self.local_of[uid]
@@ -140,6 +209,8 @@ class _Shard:
     def globalise(self, locals_: "tuple[int, ...]") -> tuple[int, ...]:
         """Local uid tuple -> global; ascending in, ascending out
         (``members`` is sorted)."""
+        if self._identity:
+            return tuple(locals_)
         return tuple(int(self.members[i]) for i in locals_)
 
 
@@ -170,31 +241,56 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
 
     Feed events through :meth:`process` (the ``repro.serve`` service
     does), or :meth:`run` to replay the whole stream; both produce
-    the same :class:`~repro.online.engine.OnlineRunResult` via
-    :meth:`result`.  With ``shards=1`` decisions are bitwise
-    identical to the monolithic
-    :class:`~repro.online.engine.OnlineAdmissionEngine`.
+    the same :class:`~repro.online.metrics.OnlineRunResult` via
+    :meth:`result`.  With ``shards=1`` (the default) there is one
+    cell over the whole universe and every event is a plain
+    controller decision.
 
     Parameters
     ----------
     stream:
-        The materialised event stream (uids 0..k-1, like the
-        monolithic engine).
+        The materialised event stream (uids 0..k-1).
     shards:
         Shard count (resources split into contiguous blocks per stage
         via :meth:`~repro.core.partition.ShardMap.blocked`) or a
         pre-built :class:`~repro.core.partition.ShardMap`.
-    policy / mode / retry_limit / validate_every / kernel:
-        As for :class:`~repro.online.engine.OnlineAdmissionEngine`;
-        ``retry_limit`` bounds each cell's queue *and* the engine's
-        cross-shard queue.  ``validate_every`` replays every k-th
-        accepted epoch -- the *global* admitted set under its
-        whole-universe certificate ordering -- through the simulator.
+    policy:
+        Scheduling policy / DCA equation for the admission test.
+    mode:
+        ``"incremental"`` (sliced caches + lazy level evaluation,
+        the default) or ``"cold"`` (full re-analysis per decision;
+        the benchmark reference).  Decisions are identical either
+        way.
+    retry_limit:
+        Capacity of each cell's FIFO retry queue *and* of the
+        engine's cross-shard queue; the oldest parked job is dropped
+        when a newcomer overflows it.
+    validate_every:
+        Replay every k-th accepted epoch -- the admitted set under its
+        whole-universe certificate ordering -- through the simulator
+        (0 disables the hook).
+    kernel:
+        Level-evaluation kernel of the admission analyzers (one of
+        :data:`~repro.online.cell.CELL_KERNELS`; decisions are
+        identical on every tier).
     record_decisions:
         Keep ``(index, kind, uid, candidate, result)`` triples (global
-        uids) on ``decisions``; cross-shard reservations log one
-        ``reserve`` entry per touched shard plus one ``certify`` entry
-        for the whole-universe check.
+        uids) on ``decisions`` for the cold-equivalence property
+        tests; retry entries carry ``None`` when the candidate set did
+        not fit whole, cross-shard reservations log one ``reserve``
+        entry per touched shard plus one ``certify`` entry for the
+        whole-universe check.
+    slate_window:
+        Coalesce consecutive shard-local arrivals within this many
+        time units of each other into one micro-batched slate decision
+        (:meth:`~repro.online.cell.AdmissionCell.arrival_slate`);
+        departures always break a slate.  ``0.0`` (the default)
+        replays strictly one event at a time.  A replay knob,
+        deliberately not part of
+        :class:`~repro.online.engine.OnlineScenarioSpec` -- cached
+        scenario results always come from unbatched replays.  Decision
+        recording and epoch validation disable it (both need the
+        sequential per-arrival results).
     """
 
     def __init__(self, stream: OnlineStream, *,
@@ -206,6 +302,14 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
                  kernel: str = "paired",
                  record_decisions: bool = False,
                  slate_window: float = 0.0) -> None:
+        # Validated here, not only in the cells: an empty stream builds
+        # no cell at all.
+        if mode not in CELL_MODES:
+            raise ValueError(
+                f"mode must be one of {CELL_MODES}, got {mode!r}")
+        if kernel not in CELL_KERNELS:
+            raise ValueError(
+                f"kernel must be one of {CELL_KERNELS}, got {kernel!r}")
         if retry_limit < 0:
             raise ValueError(
                 f"retry_limit must be >= 0, got {retry_limit}")
@@ -224,24 +328,19 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         self._departure_of = {event.uid: event.departure
                               for event in stream.events}
 
+        self._shard_map = (shards if isinstance(shards, ShardMap)
+                           else ShardMap.blocked(stream.system,
+                                                 int(shards)))
+        self._routing: "Routing | None" = None
+        self._cache: "SegmentCache | None" = None
+        self._shards: "list[_Shard]" = []
         if self._universe is not None:
-            shard_map = (shards if isinstance(shards, ShardMap)
-                         else ShardMap.blocked(self._universe.system,
-                                               int(shards)))
-            self._shard_map: "ShardMap | None" = shard_map
-            self._routing: "Routing | None" = \
-                shard_map.route(self._universe)
-            cache = (SegmentCache(self._universe)
-                     if mode == "incremental" else None)
-            self._cache = cache
+            self._routing = self._shard_map.route(self._universe)
+            if mode == "incremental":
+                self._cache = SegmentCache(self._universe)
             self._shards = [
-                self._build_shard(shard, cache, retry_limit, kernel)
-                for shard in range(shard_map.num_shards)]
-        else:
-            self._shard_map = None
-            self._routing = None
-            self._cache = None
-            self._shards = []
+                self._build_shard(shard, retry_limit, kernel)
+                for shard in range(self._shard_map.num_shards)]
 
         #: (index, kind, uid, candidate, result) log (global uids).
         self.decisions: "list[tuple]" = []
@@ -263,11 +362,15 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         #: only in incremental mode under float-monotone bounds that
         #: ignore the lower-priority set (removals and bottom-appends
         #: are then provably bound-preserving); ``None`` whenever
-        #: unavailable or no longer trusted.
+        #: unavailable or no longer trusted -- and never kept when no
+        #: job spans shards (one shard, or separable work), where no
+        #: certificate ever consults it.
         equation = resolve_equation(policy)
         self._order_ok = (mode == "incremental"
                           and equation in FLOAT_MONOTONE_EQUATIONS
-                          and equation not in LOWER_AWARE_EQUATIONS)
+                          and equation not in LOWER_AWARE_EQUATIONS
+                          and self._routing is not None
+                          and self._routing.num_cross > 0)
         self._order: "list[int] | None" = [] if self._order_ok else None
         self._quick_certifies = 0
         #: Certify-failure witnesses for queued cross-shard jobs:
@@ -309,8 +412,8 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
             "repro_cross_certify_rejects_total",
             "Cross-shard admissions rejected by the certificate.")
 
-    def _build_shard(self, shard: int, cache: "SegmentCache | None",
-                     retry_limit: int, kernel: str) -> _Shard:
+    def _build_shard(self, shard: int, retry_limit: int,
+                     kernel: str) -> _Shard:
         routing = self._routing
         members = routing.members(shard)
         if members.size == 0:
@@ -319,12 +422,20 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
                                  retry_limit=retry_limit,
                                  kernel=kernel)
             return _Shard(shard, cell, members)
-        indices = [int(g) for g in members]
-        sub = self._universe.restrict(indices)
-        sub_cache = (cache.restrict(sub, indices)
-                     if cache is not None else None)
-        departure_of = {i: self._departure_of[int(g)]
-                        for i, g in enumerate(members)}
+        if members.size == self._universe.num_jobs:
+            # The shard owns every job (always so with one shard):
+            # local uids are global uids, so the cell takes the
+            # universe and the global cache themselves -- restrict()
+            # copies would only rebuild the same tensors lazily.
+            sub, sub_cache = self._universe, self._cache
+            departure_of = self._departure_of
+        else:
+            indices = [int(g) for g in members]
+            sub = self._universe.restrict(indices)
+            sub_cache = (self._cache.restrict(sub, indices)
+                         if self._cache is not None else None)
+            departure_of = {i: self._departure_of[int(g)]
+                            for i, g in enumerate(members)}
         cross = routing.cross
 
         def parkable(local_uid: int,
@@ -345,7 +456,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         return self._universe
 
     @property
-    def shard_map(self) -> "ShardMap | None":
+    def shard_map(self) -> ShardMap:
         return self._shard_map
 
     @property
@@ -354,7 +465,9 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
 
     @property
     def num_shards(self) -> int:
-        return len(self._shards)
+        """The requested shard count (cells are built only for a
+        non-empty stream)."""
+        return self._shard_map.num_shards
 
     @property
     def cells(self) -> "list[AdmissionCell]":
@@ -382,7 +495,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
     def validation_failures(self) -> "list[str]":
         return list(self._validation_failures)
 
-    # -- shared bookkeeping (mirrors the monolithic engine) -----------
+    # -- bookkeeping --------------------------------------------------
 
     def _log_decision(self, index: int, kind: str, uid: int,
                       candidate: "tuple[int, ...]",
@@ -504,7 +617,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
 
     #: Splice positions tried above the bottom before falling back to
     #: the full Audsley search (each rung costs a handful of single
-    #: bound evaluations; a full search costs a monolith-sized event).
+    #: bound evaluations; a full search costs a whole-universe event).
     _SPLICE_RUNGS = 4
 
     def _splice_verified(self, home: _Shard, uid: int) -> bool:
@@ -751,8 +864,8 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
 
     def _maybe_validate(self, index: int) -> None:
         """Every k-th accept: replay the global admitted set through
-        the simulator under its certificate ordering (the sharded
-        counterpart of the monolithic engine's validation hook)."""
+        the simulator under its whole-universe certificate
+        ordering."""
         self._accept_count += 1
         if not self._validate_every or \
                 self._accept_count % self._validate_every:
@@ -901,7 +1014,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
             if not reservation.accepted:
                 # Abort: phase 1 is pure, so the earlier shards need
                 # no rollback.  Failed retry attempts leave no record,
-                # matching the monolithic engine's retry pass.
+                # matching the cells' own retry pass.
                 if kind == "arrive":
                     self._snapshot(index, now, kind, uid, "reject",
                                    (), 0, seconds)
@@ -1050,7 +1163,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
                 "decisions": shard.cell.decision_count,
             })
         return {
-            "shards": len(self._shards),
+            "shards": self.num_shards,
             "cross_jobs": routing.num_cross if routing else 0,
             "cross_accepts": self._cross_accepts,
             "cross_rejects": self._cross_rejects,
@@ -1070,11 +1183,19 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
 
     def process(self, now: float, kind: str,
                 uid: int) -> "list[EventRecord]":
-        """Feed one timestamped event (``"arrive"`` | ``"depart"``)
-        and return the event records it appended -- the sharded
-        counterpart of :meth:`~repro.online.engine.
-        OnlineAdmissionEngine.process`, with identical ordering
-        obligations on the caller."""
+        """Feed one timestamped event and return its event records.
+
+        The public single-event entry point (``repro.serve`` hosts
+        engines behind a long-running service through it; :meth:`run`
+        is exactly this in a loop, so a served event stream is bitwise
+        identical to a batch replay of the same events in the same
+        order).  ``kind`` is ``"arrive"`` or ``"depart"``; the caller
+        owns chronological ordering and the depart-before-arrive tie
+        rule (:func:`~repro.online.streams.stream_events`).  Returns
+        the :class:`~repro.online.metrics.EventRecord` entries the
+        event appended -- one for an arrival, one plus any retry
+        re-admissions for a departure.
+        """
         if kind not in ("arrive", "depart"):
             raise ValueError(
                 f"kind must be 'arrive' or 'depart', got {kind!r}")
@@ -1089,16 +1210,19 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
 
     def process_slate(self, arrivals: "list[tuple[float, int]]"
                       ) -> "list[EventRecord]":
-        """Feed a coalesced ``(time, uid)`` arrival slate; the sharded
-        counterpart of :meth:`~repro.online.engine.
-        OnlineAdmissionEngine.process_slate`.
+        """Feed a coalesced ``(time, uid)`` arrival slate; the
+        multi-event counterpart of :meth:`process`.
 
-        The micro-batched path additionally requires every member to
-        be shard-local with one shared home shard hosting no
-        cross-shard visitors (the :meth:`_local_arrival_slate`
-        soundness conditions); anything else degrades to sequential
-        :meth:`process` calls with identical outcomes.  Returns one
-        event record per member, in slate order.
+        The caller owns the coalescing policy (e.g. the serve
+        batcher's queue-adjacency grouping) -- this entry point does
+        not consult ``slate_window``.  The micro-batched path needs
+        time-sorted, distinct, not-yet-admitted members, no decision
+        recording or periodic validation, and every member shard-local
+        with one shared home shard hosting no cross-shard visitors
+        (the :meth:`_local_arrival_slate` soundness conditions);
+        anything else degrades to sequential :meth:`process` calls, so
+        the outcome is always identical to feeding the members one at
+        a time.  Returns one event record per member, in slate order.
         """
         arrivals = [(float(now), int(uid)) for now, uid in arrivals]
         uids = [uid for _, uid in arrivals]
@@ -1143,7 +1267,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
             summary=summary,
             final_admitted=sorted(self._admitted),
             validation_failures=self._validation_failures,
-            shards=len(self._shards),
+            shards=self.num_shards,
             kernel=self._kernel)
 
     def run(self) -> OnlineRunResult:
@@ -1156,7 +1280,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         jobs, departures, mixed-home runs, visitor-laden shards) takes
         the stock per-event path.  Decision recording and periodic
         validation are per-event features, so either disables
-        coalescing, exactly as in the monolithic engine.
+        coalescing.
         """
         events = stream_events(self._stream)
         if (self._slate_window <= 0.0 or self._record_decisions
@@ -1204,9 +1328,10 @@ def sharded_acceptance_report(stream: OnlineStream, *,
                               mode: str = "incremental",
                               retry_limit: int = 16,
                               kernel: str = "paired") -> dict:
-    """Acceptance of the sharded engine vs the monolithic oracle.
+    """Acceptance of the sharded engine vs the single-shard oracle.
 
-    Runs the same stream through both engines and reports their
+    Runs the same stream through ``shards`` and one shard and reports
+    their
     acceptance ratios plus the (signed) delta -- the cost of
     conservative cross-shard admission (no-eviction reservations plus
     the whole-universe certificate, where the oracle's full controller
@@ -1216,7 +1341,7 @@ def sharded_acceptance_report(stream: OnlineStream, *,
     evicted early may depart before the sharded engine ever has to
     reject anything for it).
     """
-    oracle = OnlineAdmissionEngine(
+    oracle = ShardedAdmissionEngine(
         stream, policy=policy, mode=mode, retry_limit=retry_limit,
         kernel=kernel).run()
     sharded = ShardedAdmissionEngine(

@@ -202,6 +202,30 @@ class OnlineStream:
         return JobSet(self.system, [event.job for event in self.events])
 
 
+#: Event-kind codes: departures at time t are dispatched before
+#: arrivals at t (capacity freed at t serves an arrival at t), exactly
+#: like ``_COMPLETE < _ARRIVE`` in :mod:`repro.sim.engine`.
+EVENT_DEPART, EVENT_ARRIVE = 0, 1
+
+
+def stream_events(stream: OnlineStream) -> "list[tuple[float, int, int]]":
+    """Chronological ``(time, kind, uid)`` event list of a stream.
+
+    ``kind`` is :data:`EVENT_DEPART` (0) or :data:`EVENT_ARRIVE` (1),
+    so the plain tuple sort realises the depart-before-arrive tie rule.
+    This is *the* replay order of the engine driver and of the serve
+    load generator -- anything feeding :meth:`~repro.online.sharded.
+    ShardedAdmissionEngine.process` directly should derive its ordering
+    from here to stay bitwise comparable with a batch run.
+    """
+    events = []
+    for event in stream.events:
+        events.append((event.arrival, EVENT_ARRIVE, event.uid))
+        events.append((event.departure, EVENT_DEPART, event.uid))
+    events.sort()
+    return events
+
+
 def _pool(config: StreamConfig, seed: int) -> tuple[MSMRSystem, tuple]:
     """Draw the job-body pool from the batch generators."""
     workload = config.pool_config()

@@ -1,10 +1,10 @@
 """Tenant layer of the admission service: one engine per tenant.
 
 A *tenant* is one resource cluster served by the long-running
-admission service: one universe stream, one engine (the monolithic
-:class:`~repro.online.engine.OnlineAdmissionEngine`, or the
-:class:`~repro.online.sharded.ShardedAdmissionEngine` when the spec
-asks for ``shards > 1``), and one append-only event *journal*.
+admission service: one universe stream, one
+:class:`~repro.online.sharded.ShardedAdmissionEngine` (a single cell
+unless the spec asks for ``shards > 1``), and one append-only event
+*journal*.
 
 The tenant's whole configuration is an
 :class:`~repro.online.engine.OnlineScenarioSpec` -- exactly the value
@@ -16,7 +16,7 @@ faithful JSON form (round-trip identity, property-tested) for the HTTP
 create-tenant payload and the snapshot format.
 
 Determinism contract: :meth:`Tenant.process` drives the engine's
-public :meth:`~repro.online.engine.OnlineAdmissionEngine.process`
+public :meth:`~repro.online.sharded.ShardedAdmissionEngine.process`
 single-event API, appending each processed event to the journal.  The
 engines are pure functions of (universe, event order), so replaying a
 journal through a fresh tenant reproduces every decision, record and
@@ -30,12 +30,13 @@ from __future__ import annotations
 from dataclasses import asdict, fields
 
 from repro.core.exceptions import ModelError
-from repro.online.engine import (
-    OnlineAdmissionEngine,
+from repro.online.engine import OnlineScenarioSpec
+from repro.online.metrics import (
+    EventRecord,
     OnlineRunResult,
-    OnlineScenarioSpec,
+    latency_percentiles,
 )
-from repro.online.metrics import EventRecord, latency_percentiles
+from repro.online.sharded import ShardedAdmissionEngine
 from repro.online.streams import (
     OnlineStream,
     StreamConfig,
@@ -153,17 +154,11 @@ def scenario_from_dict(payload: dict) -> OnlineScenarioSpec:
         raise ServeError(str(error)) from None
 
 
-def build_engine(stream: OnlineStream, spec: OnlineScenarioSpec):
+def build_engine(stream: OnlineStream,
+                 spec: OnlineScenarioSpec) -> ShardedAdmissionEngine:
     """The engine a spec asks for, over a materialised stream."""
-    if spec.shards > 1:
-        from repro.online.sharded import ShardedAdmissionEngine
-
-        return ShardedAdmissionEngine(
-            stream, shards=spec.shards, policy=spec.policy,
-            mode=spec.mode, retry_limit=spec.retry_limit,
-            validate_every=spec.validate_every, kernel=spec.kernel)
-    return OnlineAdmissionEngine(
-        stream, policy=spec.policy, mode=spec.mode,
+    return ShardedAdmissionEngine(
+        stream, shards=spec.shards, policy=spec.policy, mode=spec.mode,
         retry_limit=spec.retry_limit,
         validate_every=spec.validate_every, kernel=spec.kernel)
 
@@ -248,8 +243,7 @@ class Tenant:
                     valid = False
                     break
                 last = float(now)
-        process_slate = getattr(self.engine, "process_slate", None)
-        if not valid or len(members) == 1 or process_slate is None:
+        if not valid or len(members) == 1:
             out: list = []
             for uid, now in members:
                 try:
@@ -258,7 +252,7 @@ class Tenant:
                     out.append(error)
             return out
         arrivals = [(float(now), int(uid)) for uid, now in members]
-        records = process_slate(arrivals)
+        records = self.engine.process_slate(arrivals)
         payloads = []
         for k, (now, uid) in enumerate(arrivals):
             self._last_time = now
@@ -292,7 +286,7 @@ class Tenant:
     def records(self, start: int = 0) -> "list[dict]":
         """Deterministic event-record dicts from index ``start``
         (the ``latency`` wall-clock field is dropped, exactly like
-        :meth:`~repro.online.engine.OnlineRunResult.
+        :meth:`~repro.online.metrics.OnlineRunResult.
         deterministic_dict`)."""
         out = []
         for record in self.engine.result().records[start:]:

@@ -170,7 +170,7 @@ class TestEngineMechanics:
         engine = OnlineAdmissionEngine(stream, retry_limit=0)
         result = engine.run()
         assert result.summary["retry_accepts"] == 0
-        assert engine.cell.retry_queue == ()
+        assert engine.cells[0].retry_queue == ()
         rejects = [r for r in result.records
                    if r.kind == "arrive" and r.decision == "reject"]
         if rejects:  # every un-parkable reject is counted as a drop
@@ -287,13 +287,23 @@ class TestEngineMechanics:
         assert result.records == []
         assert result.summary["arrivals"] == 0
         assert result.final_admitted == []
+        assert result.shards == 1
+        assert result.summary["sharding"]["shards"] == 1
 
     def test_bad_parameters_rejected(self):
+        from repro.online.streams import OnlineStream
+
         stream = _stream(0)
-        with pytest.raises(ValueError):
-            OnlineAdmissionEngine(stream, mode="warm")
-        with pytest.raises(ValueError):
-            OnlineAdmissionEngine(stream, retry_limit=-1)
+        # An empty stream builds no cell, so the engine itself checks.
+        empty = OnlineStream(system=stream.system, events=[],
+                             config=StreamConfig(horizon=10.0))
+        for source in (stream, empty):
+            with pytest.raises(ValueError):
+                OnlineAdmissionEngine(source, mode="warm")
+            with pytest.raises(ValueError):
+                OnlineAdmissionEngine(source, kernel="bogus")
+            with pytest.raises(ValueError):
+                OnlineAdmissionEngine(source, retry_limit=-1)
 
 
 class TestScenarioHelpers:
@@ -304,6 +314,17 @@ class TestScenarioHelpers:
         direct = OnlineAdmissionEngine(_stream(9, horizon=80.0)).run()
         assert via_spec.deterministic_dict() == \
             direct.deterministic_dict()
+
+    def test_single_shard_scenario_reports_sharding(self):
+        from repro.online.engine import ONLINE_CALL_KEY
+
+        assert ONLINE_CALL_KEY == "online/run@v3"
+        spec = OnlineScenarioSpec(
+            stream=StreamConfig(horizon=40.0, rate=0.3), seed=2)
+        result = run_online_scenario(spec)
+        assert result.shards == 1
+        assert result.summary["sharding"]["shards"] == 1
+        assert result.summary["sharding"]["cross_jobs"] == 0
 
     def test_specs_hash_distinctly(self):
         from repro.store import spec_hash

@@ -65,7 +65,7 @@ class TestCellTelemetry:
         stream = generate_stream(LIGHT, seed=1)
         engine = OnlineAdmissionEngine(stream)
         result = engine.run()
-        stats = engine.cell.obs_stats()
+        stats = engine.cells[0].obs_stats()
         assert stats["decisions"] == engine.decision_count > 0
         # Every decide() call either hit the memo or ran the analyzers.
         assert stats["memo_hits"] + stats["memo_misses"] == \
@@ -84,7 +84,7 @@ class TestCellTelemetry:
         result = engine.run()
         tally = TallyCounter(
             record.decision for record in result.records)
-        outcomes = engine.cell.obs_stats()["outcomes"]
+        outcomes = engine.cells[0].obs_stats()["outcomes"]
         for key in ("accept", "free", "expire", "noop"):
             assert outcomes.get(key, 0) == tally.get(key, 0)
         # The cell also tallies a "reject" per failed *retry* attempt;

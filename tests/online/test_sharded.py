@@ -1,19 +1,14 @@
-"""Tests for the sharded admission engine.
-
-The tentpole acceptance criterion lives here: a
-``ShardedAdmissionEngine`` with a single shard must be bitwise
-identical to the monolithic ``OnlineAdmissionEngine`` -- decisions,
-churn, metrics time series -- across random arrive/depart sequences.
+"""Tests for the sharded admission engine: routing, cross-shard
+reservation and its whole-universe certificate, and acceptance against
+the single-shard oracle.  (The single-shard case itself is pinned by
+``test_single_cell_golden.py`` and the cold-oracle property test in
+``test_engine.py``.)
 """
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.exceptions import ModelError
 from repro.core.partition import ShardMap
-from repro.online.engine import OnlineAdmissionEngine
 from repro.online.sharded import (
     ShardedAdmissionEngine,
     sharded_acceptance_report,
@@ -38,66 +33,6 @@ def _clustered(seed=0, *, clusters=2, cross_fraction=0.0,
         StreamConfig(kind="poisson", horizon=horizon, rate=rate,
                      **kwargs),
         clusters=clusters, cross_fraction=cross_fraction, seed=seed)
-
-
-def _deterministic(result):
-    payload = result.deterministic_dict()
-    payload["summary"].pop("sharding", None)
-    return payload
-
-
-def _assert_same_decisions(mono, sharded):
-    assert len(mono.decisions) == len(sharded.decisions)
-    for m, s in zip(mono.decisions, sharded.decisions):
-        assert m[:4] == s[:4]  # index, kind, uid, candidate
-        rm, rs = m[4], s[4]
-        if rm is None or rs is None:
-            assert rm is None and rs is None
-            continue
-        assert rm.accepted == rs.accepted
-        assert rm.rejected == rs.rejected
-        assert np.array_equal(rm.ordering, rs.ordering)
-        assert np.array_equal(rm.delays, rs.delays, equal_nan=True)
-
-
-engine_params = st.fixed_dictionaries({
-    "seed": st.integers(0, 2_000),
-    "kind": st.sampled_from(["poisson", "mmpp", "diurnal"]),
-    "rate": st.floats(0.15, 0.6),
-    "dwell_scale": st.floats(0.5, 2.0),
-})
-
-
-class TestSingleShardIdentity:
-    """The refactor guarantee, property-tested."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(params=engine_params)
-    def test_single_shard_is_bitwise_identical(self, params):
-        stream = _stream(params["seed"], kind=params["kind"],
-                         horizon=80.0, rate=params["rate"],
-                         dwell_scale=params["dwell_scale"])
-        mono = OnlineAdmissionEngine(stream, record_decisions=True)
-        sharded = ShardedAdmissionEngine(stream, shards=1,
-                                         record_decisions=True)
-        rm, rs = mono.run(), sharded.run()
-        assert _deterministic(rm) == _deterministic(rs)
-        _assert_same_decisions(mono, sharded)
-
-    def test_single_shard_identity_in_cold_mode(self):
-        stream = _stream(7, rate=0.5, horizon=60.0)
-        rm = OnlineAdmissionEngine(stream, mode="cold").run()
-        rs = ShardedAdmissionEngine(stream, shards=1,
-                                    mode="cold").run()
-        assert _deterministic(rm) == _deterministic(rs)
-
-    def test_single_shard_identity_with_reference_kernel(self):
-        stream = _stream(11, rate=0.45, horizon=80.0)
-        rm = OnlineAdmissionEngine(stream,
-                                   kernel="reference").run()
-        rs = ShardedAdmissionEngine(stream, shards=1,
-                                    kernel="reference").run()
-        assert _deterministic(rm) == _deterministic(rs)
 
 
 class TestSeparableWorkloads:
@@ -192,7 +127,7 @@ class TestCrossShardReservation:
         stream = _clustered(seed=5, clusters=2, cross_fraction=0.3)
         a = ShardedAdmissionEngine(stream, shards=2).run()
         b = ShardedAdmissionEngine(stream, shards=2).run()
-        assert _deterministic(a) == _deterministic(b)
+        assert a.deterministic_dict() == b.deterministic_dict()
 
     def test_cross_events_record_nonzero_latency(self):
         """Reserve/certify/commit time all lands in the per-event
@@ -317,9 +252,9 @@ class TestEngineSurface:
         result = ShardedAdmissionEngine(stream, shards=2,
                                         kernel="reference").run()
         assert result.kernel == "reference"
-        mono = OnlineAdmissionEngine(_stream(0),
-                                     kernel="reference").run()
-        assert mono.kernel == "reference"
+        single = ShardedAdmissionEngine(_stream(0),
+                                        kernel="reference").run()
+        assert single.kernel == "reference"
 
     def test_decision_totals_sum_over_cells(self):
         stream = _clustered(seed=3, clusters=2)
