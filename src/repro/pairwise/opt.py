@@ -1,10 +1,13 @@
 """OPT driver: optimal pairwise priority assignment (Section V.A).
 
 Builds the ILP of Eqs. 7-9 and solves it with a complete backend, or
-bypasses the ILP entirely with the exact CP search.  Every solution is
+bypasses the ILP entirely with the exact CP search.  OPT is a pure
+feasibility problem, so a caller holding an assignment it believes
+feasible (a DM, DMR or OPDCA result) may pass it as a *witness* and
+skip the solver.  Every solution -- witness or solver output -- is
 verified against the :class:`~repro.core.dca.DelayAnalyzer` before it
-is returned, so a buggy model or backend cannot silently accept an
-infeasible instance.
+is returned, so a buggy model, backend or heuristic cannot silently
+accept an infeasible instance.
 
 :func:`opt_decomposed` exploits the conflict-graph structure: every
 delay term of ``J_i`` involves only jobs sharing a resource with it, so
@@ -40,7 +43,7 @@ def opt(jobset: JobSet, equation: str = "eq6", *,
         analyzer: DelayAnalyzer | None = None,
         time_limit: float | None = None,
         node_limit: int | None = None,
-        warm_start: bool = False) -> PairwiseResult:
+        witness: PairwiseAssignment | None = None) -> PairwiseResult:
     """Compute an optimal (complete) pairwise priority assignment.
 
     Parameters
@@ -58,11 +61,15 @@ def opt(jobset: JobSet, equation: str = "eq6", *,
         the CP backend).
     time_limit / node_limit:
         Optional backend budgets.
-    warm_start:
-        Run the DMR heuristic first and return its assignment when it
-        already satisfies every deadline (OPT is a pure feasibility
-        problem, so any feasible witness is optimal).  Only on DMR
-        failure does the complete backend run.
+    witness:
+        An assignment already believed to meet every deadline (e.g. a
+        feasible DM, DMR or OPDCA result).  Any feasible assignment is
+        optimal for this feasibility problem, so when given, no model
+        is built and no backend runs: the witness is verified like a
+        solver solution and returned with ``stats["status"] ==
+        "witness"``.  A witness that misses a deadline raises
+        :class:`SolverError` -- it is never silently rejected or
+        replaced by a search.
 
     Returns
     -------
@@ -77,14 +84,9 @@ def opt(jobset: JobSet, equation: str = "eq6", *,
     if analyzer is None:
         analyzer = DelayAnalyzer(jobset)
 
-    if warm_start:
-        from repro.pairwise.dmr import dmr
-
-        heuristic = dmr(jobset, equation, analyzer=analyzer)
-        if heuristic.feasible:
-            heuristic.solver = "opt/warm-dmr"
-            heuristic.stats["warm_start"] = True
-            return heuristic
+    if witness is not None:
+        return _verified(jobset, analyzer, equation, witness,
+                         solver="opt/witness", stats={"status": "witness"})
 
     if backend == "cp":
         result = cp_search(jobset, equation, analyzer=analyzer,
@@ -123,17 +125,26 @@ def opt(jobset: JobSet, equation: str = "eq6", *,
             f"the time/node limits")
 
     assignment = extract_assignment(model, solve.x, jobset)
+    return _verified(jobset, analyzer, equation, assignment,
+                     solver=f"opt/{backend}", stats=stats)
+
+
+def _verified(jobset: JobSet, analyzer: DelayAnalyzer, equation: str,
+              assignment: PairwiseAssignment, *, solver: str,
+              stats: dict) -> PairwiseResult:
+    """Recompute every bound under ``assignment`` and return it as a
+    feasible OPT result, or raise if any job misses its deadline."""
     delays = analyzer.delays_for_pairwise(
         assignment.matrix(), equation=equation)
     if (delays > jobset.D + max(DEADLINE_TOLERANCE, 1e-6)).any():
         worst = int(np.argmax(delays - jobset.D))
         raise SolverError(
-            f"OPT solution violates the analysis it optimised: job "
-            f"{worst} has bound {delays[worst]:.6g} > deadline "
-            f"{jobset.D[worst]:.6g} (model/backend inconsistency)")
+            f"{solver} solution violates the analysis: job {worst} has "
+            f"bound {delays[worst]:.6g} > deadline {jobset.D[worst]:.6g} "
+            f"(inconsistent model, backend or witness)")
     return PairwiseResult(feasible=True, assignment=assignment,
                           delays=delays, equation=equation,
-                          solver=f"opt/{backend}", stats=stats)
+                          solver=solver, stats=stats)
 
 
 def _component_jobset(jobset: JobSet, members: "list[int]") -> JobSet:

@@ -28,7 +28,7 @@ from repro.core.serialize import canonical_dumps
 #: when evaluation semantics change so stale results can never be
 #: served.  The repro package version is folded in as well, making
 #: every release a cache boundary by default.
-CACHE_SALT = "store-v1"
+CACHE_SALT = "store-v2"
 
 
 def _package_version() -> str:

@@ -1,10 +1,13 @@
-"""Tests for per-resource order extraction and the OPT warm start."""
+"""Tests for per-resource order extraction and the OPT witness."""
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import ModelError
 from repro.core.priorities import PairwiseAssignment, PriorityOrdering
+from repro.pairwise.dmr import dmr
 from repro.pairwise.opt import opt
 from tests.conftest import FIG2_PAIRS
 
@@ -70,28 +73,35 @@ class TestResourceOrder:
             assignment.resource_order(0, 0)
 
 
-class TestWarmStart:
-    def test_warm_start_short_circuits_on_dmr_success(self,
-                                                      small_edge_jobset):
-        from repro.pairwise.dmr import dmr
+class TestWitness:
+    def test_feasible_witness_skips_the_solver(self, small_edge_jobset,
+                                               monkeypatch):
+        def no_model(*_args, **_kwargs):
+            raise AssertionError("the ILP was built despite a witness")
 
+        # The package re-exports the function under the module's name.
+        monkeypatch.setattr(sys.modules[opt.__module__],
+                            "build_opt_model", no_model)
         heuristic = dmr(small_edge_jobset, "eq10")
-        result = opt(small_edge_jobset, "eq10", warm_start=True)
-        if heuristic.feasible:
-            assert result.solver == "opt/warm-dmr"
-            assert result.stats.get("warm_start")
-        else:
-            assert result.solver.startswith("opt/")
+        assert heuristic.feasible
+        result = opt(small_edge_jobset, "eq10",
+                     witness=heuristic.assignment)
+        assert result.feasible
+        assert result.solver == "opt/witness"
+        assert result.stats["status"] == "witness"
+        assert result.assignment is heuristic.assignment
+        np.testing.assert_allclose(result.delays, heuristic.delays)
 
-    def test_warm_start_falls_back_to_complete_search(self,
-                                                      fig2_jobset):
-        """DMR fails on the Figure 2 instance; warm start must still
-        find the (cyclic) feasible assignment via the backend."""
-        result = opt(fig2_jobset, "eq6", warm_start=True)
+    def test_without_witness_the_backend_searches(self, fig2_jobset):
+        """DMR fails on the Figure 2 instance, so there is no witness;
+        the backend must still find the (cyclic) feasible assignment."""
+        assert not dmr(fig2_jobset, "eq6").feasible
+        result = opt(fig2_jobset, "eq6")
         assert result.feasible
         assert result.solver == "opt/highs"
 
     def test_same_verdict_with_and_without(self, small_edge_jobset):
         plain = opt(small_edge_jobset, "eq10")
-        warm = opt(small_edge_jobset, "eq10", warm_start=True)
-        assert plain.feasible == warm.feasible
+        witnessed = opt(small_edge_jobset, "eq10",
+                        witness=dmr(small_edge_jobset, "eq10").assignment)
+        assert plain.feasible == witnessed.feasible
