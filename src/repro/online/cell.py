@@ -34,7 +34,7 @@ from repro.online.incremental import (
     IncrementalAnalyzer,
     SubsetAnalysis,
     admit,
-    admit_all_or_nothing,
+    admit_trajectory,
     cold_analysis,
     result_delays,
 )
@@ -290,7 +290,9 @@ class AdmissionCell:
 
         ``all_or_nothing`` (the retry / reservation rule) asks only
         whether the whole candidate set fits, returning ``None`` when
-        the full controller would reject anyone.
+        the full controller would reject anyone.  It runs
+        :func:`~repro.online.incremental.admit_trajectory`, so a fit's
+        ordering is the full controller's lowest-index trajectory.
 
         Admission is a pure function of the candidate set over the
         fixed universe, so the incremental cell memoises outcomes
@@ -309,8 +311,7 @@ class AdmissionCell:
             self.memo_misses += 1
             analysis = self._analysis(candidate)
             if all_or_nothing:
-                result = admit_all_or_nothing(analysis,
-                                              mode=self._mode)
+                result = admit_trajectory(analysis, mode=self._mode)
             else:
                 result = admit(analysis, mode=self._mode)
             stats = analysis.test.analyzer.cache_stats()

@@ -47,7 +47,9 @@ __all__ = [
 #: v2: specs grew ``shards`` / ``kernel`` and results record them.
 #: v3: one driver for every shard count, so 1-shard summaries carry
 #: ``sharding`` too.
-ONLINE_CALL_KEY = "online/run@v3"
+#: v4: the whole-universe certificate is a witness search, so sharded
+#: summaries' certificate counters moved (verdicts did not).
+ONLINE_CALL_KEY = "online/run@v4"
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,12 @@ while guaranteeing **bitwise identical decisions and delay bounds**:
 * departures call :meth:`~repro.core.dca.DelayAnalyzer.\
 invalidate_job` on the persistent universe analyzer, purging exactly
   the memo entries whose context involves the leaving job.
+* :func:`admit_all_or_nothing` is the one deliberate exception: a
+  yes/no question needs only *some* feasible assignment, so under the
+  float-monotone bounds it searches for any witness
+  (:func:`_witness_audsley`) -- same verdict as the cold path, but
+  possibly a different ordering.  :func:`admit_trajectory` keeps the
+  cold path's lowest-index ordering.
 
 Every value produced along either path is the result of the same
 floating-point reductions over the same operands in the same order as
@@ -317,13 +323,19 @@ def _lazy_audsley(jobset: JobSet, test: SDCA, *,
     ``eq10``/``eq2``/``eq4`` and unfiltered analyzers -- takes the
     frontier-carrying lazy scan below.  Decisions and delay vectors
     are bitwise identical either way."""
-    if (test.equation in FLOAT_MONOTONE_EQUATIONS
-            and test.analyzer.window_filter and jobset.num_jobs):
+    if _banded(jobset, test):
         return _banded_audsley(jobset, test,
                                all_or_nothing=all_or_nothing,
                                carry=carry, key=key)
     return _legacy_lazy_audsley(jobset, test,
                                 all_or_nothing=all_or_nothing)
+
+
+def _banded(jobset: JobSet, test: SDCA) -> bool:
+    """The certified-band gate: a float-monotone bound (all of which
+    ignore the lower-priority set) on a window-filtered analyzer."""
+    return bool(test.equation in FLOAT_MONOTONE_EQUATIONS
+                and test.analyzer.window_filter and jobset.num_jobs)
 
 
 def _legacy_lazy_audsley(jobset: JobSet, test: SDCA, *,
@@ -1120,6 +1132,72 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
                           order_low_to_high, rejected)
 
 
+def _witness_audsley(jobset: JobSet, test: SDCA
+                     ) -> "AdmissionResult | None":
+    """Feasibility-only certified-band Audsley: *some* feasible
+    priority assignment of the whole job set, or ``None``.
+
+    Under the :func:`_banded` gate Audsley is complete whichever
+    feasible candidate it places at each level, so a yes/no question
+    need not trace the lowest-index trajectory.  One exact full-level
+    evaluation seeds :class:`_ExcessBands`; each round then places
+    *every* certainly-feasible candidate (``est + err <= tol``) in one
+    batched band update, and only when there is none refreshes the
+    straddlers (``est - err <= tol``) exactly and places every exact
+    pass.  A round with no pass proves infeasibility.
+
+    * Batch placement is sound: each placed job's final higher set is
+      a subset of the unassigned set it was verified against, and
+      float-monotone bounds never rise when jobs are removed.
+    * Getting stuck is exact: when no member ``j`` of the unassigned
+      set ``U`` passes with ``U - {j}`` above it, the lowest member of
+      ``U`` under *any* ordering fails too (its higher set contains
+      ``U - {j}``).
+
+    The verdict therefore equals the stock controller's; only the
+    ordering of a feasible result may differ from the lowest-index
+    trajectory.
+    """
+    analyzer = test.analyzer
+    equation = test.equation
+    n = jobset.num_jobs
+    deadlines = jobset.D
+    tol = 1e-9
+    active = np.ones(n, dtype=bool)
+    unassigned = np.ones(n, dtype=bool)
+
+    def exact_rows(rows: np.ndarray) -> np.ndarray:
+        delays = analyzer.level_bounds(
+            unassigned, None, equation=equation, active=active,
+            rows=rows)
+        return delays - deadlines[rows]
+
+    cand = np.arange(n)
+    bands = _ExcessBands(analyzer, equation, deadlines, unassigned,
+                         active)
+    bands.seed(cand, exact_rows(cand))
+    order_low_to_high: list[int] = []
+    while cand.size:
+        lo, hi = bands.bounds(cand)
+        placed = cand[hi <= tol]
+        if not placed.size:
+            straddlers = cand[lo <= tol]
+            if not straddlers.size:
+                return None
+            excesses = exact_rows(straddlers)
+            bands.seed(straddlers, excesses)
+            placed = straddlers[excesses <= tol]
+            if not placed.size:
+                return None
+        order_low_to_high.extend(placed.tolist())
+        unassigned[placed] = False
+        cand = np.flatnonzero(unassigned)
+        if cand.size:
+            bands.remove_many(placed, unassigned)
+    return _finish_result(analyzer, equation, n, active,
+                          order_low_to_high, [])
+
+
 def admit(analysis: SubsetAnalysis, *,
           mode: str = "incremental") -> AdmissionResult:
     """Run the admission controller over one subset analysis.
@@ -1142,14 +1220,34 @@ def admit(analysis: SubsetAnalysis, *,
 def admit_all_or_nothing(analysis: SubsetAnalysis, *,
                          mode: str = "incremental"
                          ) -> "AdmissionResult | None":
-    """All-or-nothing admission over one subset analysis.
+    """All-or-nothing admission over one subset analysis: *a* feasible
+    priority assignment of the whole candidate set, or ``None``.
 
-    Returns the (everyone-accepted) result when the whole candidate
-    set is OPDCA-schedulable and ``None`` otherwise -- i.e. ``None``
-    exactly when :func:`admit` would reject at least one job.  The
-    retry queue uses this instead of the full controller because a
-    failed retry stops at its first infeasible level instead of paying
-    the discard cascade.
+    ``None`` exactly when :func:`admit` would reject at least one job.
+    Under the certified-band gate in incremental mode (float-monotone
+    bound, window-filtered analyzer) this is the witness search
+    :func:`_witness_audsley`, whose ordering may differ from the
+    lowest-index Audsley trajectory -- the verdict never does.
+    Everywhere else it is :func:`admit_trajectory`.  The sharded
+    engine's whole-universe certificate uses this; cells, whose
+    orderings are pinned, use :func:`admit_trajectory`.
+    """
+    if mode == "incremental" and _banded(analysis.jobset, analysis.test):
+        return _witness_audsley(analysis.jobset, analysis.test)
+    return admit_trajectory(analysis, mode=mode)
+
+
+def admit_trajectory(analysis: SubsetAnalysis, *,
+                     mode: str = "incremental"
+                     ) -> "AdmissionResult | None":
+    """All-or-nothing admission along the lowest-index Audsley
+    trajectory: the (everyone-accepted) result when the whole
+    candidate set is OPDCA-schedulable and ``None`` otherwise -- i.e.
+    ``None`` exactly when :func:`admit` would reject at least one
+    job, and on success bitwise identical to it.  The retry queue
+    uses this instead of the full controller because a failed retry
+    stops at its first infeasible level instead of paying the discard
+    cascade.
     """
     if mode == "incremental":
         return incremental_feasibility(

@@ -50,10 +50,10 @@ universe.  Every arrival is routed by its resource footprint:
   delays are additive into one end-to-end deadline, so a job passing
   every per-shard check can still miss its deadline under the
   whole-set analysis.  Reservations alone would therefore be
-  optimistic; the certificate re-runs the all-or-nothing controller
-  in the unrestricted universe over the job's resource *component* --
-  the admitted jobs on shards transitively linked to it by resident
-  cross-shard jobs (:meth:`ShardedAdmissionEngine.\
+  optimistic; the certificate searches the unrestricted universe for
+  a feasible priority assignment (a *witness*) of the job's resource
+  *component* -- the admitted jobs on shards transitively linked to
+  it by resident cross-shard jobs (:meth:`ShardedAdmissionEngine.\
 _component_candidate`).  Jobs outside the component share no resource
   with anything inside it, so whole-set feasibility factorises over
   components and the restricted check is exact, not an approximation:
@@ -80,10 +80,15 @@ commits.  Appending a newly admitted job at the bottom of that
 ordering leaves every incumbent's higher-priority set unchanged, so
 for bounds that ignore the lower-priority set a single delay
 evaluation of the new job certifies the extended set
-(:meth:`ShardedAdmissionEngine._quick_certify`); the full Audsley
-search runs only when that probe fails, and Audsley's completeness
-for OPA-compatible bounds makes the accept/reject decisions identical
-either way.
+(:meth:`ShardedAdmissionEngine._quick_certify`); the full search runs
+only when that probe fails, and Audsley's completeness for
+OPA-compatible bounds makes the accept/reject decisions identical
+either way.  Under the same gate the full search is itself a witness
+search (:func:`~repro.online.incremental.admit_all_or_nothing`): it
+places every certainly-feasible job per round rather than tracing the
+lowest-index Audsley trajectory, so its ordering may differ from the
+cold controller's while its verdict never does.  Cells keep the
+lowest-index trajectory for their own decisions.
 
 With ``shards=1`` the single cell owns the universe and its segment
 cache outright, so every event is one plain controller decision.
@@ -279,7 +284,10 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         tests; retry entries carry ``None`` when the candidate set did
         not fit whole, cross-shard reservations log one ``reserve``
         entry per touched shard plus one ``certify`` entry for the
-        whole-universe check.
+        whole-universe check.  A feasible ``certify`` entry's ordering
+        is the certificate's witness, which in incremental mode may
+        differ from the cold controller's (the verdict cannot); cell
+        entries carry the lowest-index trajectory.
     slate_window:
         Coalesce consecutive shard-local arrivals within this many
         time units of each other into one micro-batched slate decision
@@ -766,9 +774,13 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         Per-shard reservations see only their own members as
         interferers, so they under-count a cross-shard job's
         end-to-end delay; this check is the one place the full
-        interference picture is evaluated.  Outcomes are memoised on
-        the exact candidate tuple (incremental mode), mirroring the
-        cells' decision memo.
+        interference picture is evaluated.  It asks only for *a*
+        feasible assignment (:func:`~repro.online.incremental.\
+admit_all_or_nothing`, a witness search under the float-monotone
+        gate), so a fit's ordering may differ from the cold
+        controller's; the verdict is identical.  Outcomes are
+        memoised on the exact candidate tuple (incremental mode),
+        mirroring the cells' decision memo.
         """
         start = time.perf_counter()
         try:

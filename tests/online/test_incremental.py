@@ -6,6 +6,9 @@ batch bounds, delta-maintained scalar bounds and the lazily evaluated
 admission controller must all reproduce the cold path bit for bit.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,14 @@ from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
 from repro.online.incremental import (
     IncrementalAnalyzer,
+    cold_analysis,
     incremental_admission,
 )
-from repro.online.streams import StreamConfig, generate_stream
+from repro.online.streams import (
+    StreamConfig,
+    clustered_stream,
+    generate_stream,
+)
 from repro.workload.random_jobs import RandomInstanceConfig, random_jobset
 
 
@@ -299,3 +307,105 @@ class TestIncrementalAdmission:
             assert np.array_equal(outcome.ordering, stock.ordering)
             assert np.array_equal(outcome.delays, stock.delays,
                                   equal_nan=True)
+
+
+# -- whole-universe witness search ------------------------------------
+
+_TOL = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_universe(kind, seed):
+    """A clustered-stream or edge-pool universe (memoised: Hypothesis
+    revisits the same few streams)."""
+    if kind == "clustered":
+        return clustered_stream(
+            StreamConfig(kind="poisson", horizon=40.0, rate=1.0,
+                         pool_size=30),
+            clusters=3, cross_fraction=0.1, seed=seed).universe()
+    return generate_stream(
+        StreamConfig(horizon=40.0, rate=1.0, generator="edge",
+                     pool_size=12), seed=seed).universe()
+
+
+def _knife_edge(universe, indices, equation, margin):
+    """``universe`` with every processing time scaled so that the
+    subset's most slack job, evaluated with the rest of the subset
+    above it, misses its deadline by ``tol + margin * 1e-9 * D``.
+    Delay bounds are linear in processing times and windows ignore
+    them, so every bound scales alike and no job keeps more slack:
+    the first witness round has no certainly-feasible job and must
+    refresh its straddlers exactly.  ``margin > 0`` makes that job a
+    straddler that fails, ``margin < 0`` one that passes."""
+    cold = cold_analysis(universe, indices, equation)
+    k = cold.jobset.num_jobs
+    every = np.ones(k, dtype=bool)
+    bounds = cold.test.analyzer.level_bounds(
+        every, None, equation=equation, active=every)
+    deadlines = cold.jobset.D
+    m = int(np.argmax(deadlines / bounds))
+    target = deadlines[m] * (1.0 + margin * 1e-9) + _TOL
+    alpha = target / bounds[m]
+    jobs = [dataclasses.replace(
+        job, processing=tuple(alpha * p for p in job.processing))
+        for job in universe.jobs]
+    return JobSet(universe.system, jobs)
+
+
+def assert_witness(universe, indices, equation, ordering):
+    """Cold reference-kernel check of a feasible assignment: every
+    delay bound under ``ordering`` (1 = highest) is within its
+    deadline plus the tolerance."""
+    cold = cold_analysis(universe, indices, equation)
+    k = cold.jobset.num_jobs
+    priority = np.asarray(ordering)
+    assert sorted(priority.tolist()) == list(range(1, k + 1))
+    higher = priority[:, None] < priority[None, :]
+    delays = cold.test.analyzer.delays_for_pairwise(
+        higher, equation=equation, active=np.ones(k, dtype=bool))
+    assert np.all(delays <= cold.jobset.D + _TOL), (
+        f"witness misses a deadline by "
+        f"{float(np.max(delays - cold.jobset.D))}")
+
+
+witness_params = st.fixed_dictionaries({
+    "kind": st.sampled_from(["clustered", "edge"]),
+    "seed": st.integers(0, 5),
+    "equation": st.sampled_from(["eq3", "eq5", "eq6"]),
+    "subset_seed": st.integers(0, 10_000),
+    "size": st.integers(1, 40),
+    # None: the stream's own deadlines; otherwise scale to a
+    # knife-edge first round (see _knife_edge).
+    "margin": st.sampled_from([None, None, 0.25, -0.25]),
+})
+
+
+class TestWitnessSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(params=witness_params)
+    def test_verdict_matches_stock_and_cold_and_witness_holds(
+            self, params):
+        from repro.online.incremental import (
+            admit_all_or_nothing,
+            incremental_feasibility,
+        )
+
+        universe = _stream_universe(params["kind"], params["seed"])
+        equation = params["equation"]
+        rng = np.random.default_rng(params["subset_seed"])
+        size = min(params["size"], universe.num_jobs)
+        indices = np.sort(rng.choice(universe.num_jobs, size=size,
+                                     replace=False))
+        if params["margin"] is not None:
+            universe = _knife_edge(universe, indices, equation,
+                                   params["margin"])
+        analysis = IncrementalAnalyzer(universe, equation).subset(indices)
+        witness = admit_all_or_nothing(analysis)
+        stock = incremental_feasibility(analysis.jobset, analysis.test)
+        cold = admit_all_or_nothing(
+            cold_analysis(universe, indices, equation), mode="cold")
+        assert (witness is None) == (stock is None) == (cold is None)
+        if witness is not None:
+            assert witness.accepted == list(range(size))
+            assert witness.rejected == []
+            assert_witness(universe, indices, equation, witness.ordering)

@@ -209,6 +209,39 @@ class TestCrossShardSoundness:
             checked += 1
         assert checked > 0
 
+    def test_every_certificate_is_a_cold_verified_witness(self):
+        """The certificate is a witness search: its ordering may differ
+        from the cold controller's, but its verdict may not, and every
+        feasible ``certify`` entry's ordering passes a cold
+        reference-kernel check of the candidate set."""
+        from repro.online.incremental import (
+            admit_all_or_nothing,
+            cold_analysis,
+        )
+        from tests.online.test_incremental import assert_witness
+
+        stream = _clustered(seed=2, clusters=2, cross_fraction=0.3,
+                            horizon=60.0)
+        engine = ShardedAdmissionEngine(stream, shards=2,
+                                        record_decisions=True)
+        engine.run()
+        universe = engine.universe
+        feasible = infeasible = 0
+        for _index, kind, _uid, candidate, result in engine.decisions:
+            if kind != "certify":
+                continue
+            cold = admit_all_or_nothing(
+                cold_analysis(universe, list(candidate), "preemptive"),
+                mode="cold")
+            assert (result is None) == (cold is None), candidate
+            if result is None:
+                infeasible += 1
+                continue
+            assert_witness(universe, list(candidate), "eq6",
+                           result.ordering)
+            feasible += 1
+        assert feasible > 0 and infeasible > 0
+
     def test_validation_hook_passes_through_scenario_runner(self):
         from repro.online.engine import (
             OnlineScenarioSpec,
