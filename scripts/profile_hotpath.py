@@ -34,7 +34,7 @@ where the time goes, which the per-phase table makes visible.
 After the flat profile each target prints a **per-phase breakdown**:
 profiler rows bucketed into the four hot-path phases -- ``probe``
 (level-bound evaluation: paired/compiled frontier probes),
-``splice`` (carried-frontier and priority-order surgery),
+``splice`` (certified-band and priority-order surgery),
 ``cache-invalidate`` (departure-path memo/segment eviction) and
 ``memo`` (subset-analysis reuse) -- with own-time and share of total.
 ``docs/kernels.md`` walks through reading it.
@@ -123,28 +123,28 @@ RUNNERS = {"opdca": run_opdca, "admission": run_admission,
 #: stable across shard counts and engine refactors (see
 #: ``docs/kernels.md`` for the walkthrough).
 PHASES: "dict[str, tuple[str, ...]]" = {
-    # Level-bound evaluation: single frontier probes and batch rows,
-    # on any tier (paired masks, compiled loop primitives, reference).
+    # Level-bound evaluation: the Audsley drivers' level adapters and
+    # exact row refreshes, and the tier kernels under them (paired
+    # masks, compiled loop primitives, reference).
     "probe": (
-        "probe_one", "batch_level", "exact_rows", "level_probe",
+        "delays_rows", "probe", "exact_rows", "level_probe",
         "level_bounds", "level_bound_single", "_level_paired",
         "_level_compiled", "_paired_stage_sum", "delay_bound_level",
         "delay_bounds_rows",
     ),
-    # Carried-frontier and priority-order surgery between decisions.
+    # Certified-band and priority-order surgery.
     "splice": (
-        "_drop_stage_maxima", "_raise_stage_maxima", "_carry_transform",
-        "_splice_verified", "remove", "remove_many", "_order_rebase",
+        "_drop_stage_maxima", "_splice_verified", "remove",
+        "remove_many", "_order_rebase_shard",
     ),
     # Departure path: memo and segment-cache eviction.
     "cache-invalidate": (
         "invalidate_job", "_evict_to_limit", "forget", "depart",
-        "invalidate",
     ),
-    # Cross-decision subset-analysis reuse (LRU memo + band carry).
+    # Cross-decision subset-analysis reuse (LRU memo) and bound
+    # seeding.
     "memo": (
-        "subset", "cold_subset", "remember", "store", "_analysis",
-        "seed",
+        "subset", "cold_subset", "remember", "_analysis", "seed",
     ),
 }
 

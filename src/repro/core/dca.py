@@ -788,9 +788,8 @@ class DelayAnalyzer:
         bitwise identical to the corresponding full-batch entry -- but
         only the selected rows are ever materialised, turning the
         per-level cost of a lazy Audsley scan from ``O(n^2 N)`` into
-        ``O(len(rows) * n * N)``.  This is the evaluation kernel of the
-        online admission engine's chunked candidate scan
-        (:func:`repro.online.incremental.incremental_admission`).
+        ``O(len(rows) * n * N)``.  DMR's incremental re-evaluation of
+        the rows a swap affects runs on it.
 
         Entries of jobs outside ``active`` are returned as ``nan``.
         """
@@ -1348,10 +1347,11 @@ class DelayAnalyzer:
         ``p`` is placed below a candidate, which cannot lower the
         bound and needs no cap.
 
-        This single definition feeds both excess-lower-bound pruning
-        engines -- :func:`repro.core.opa.audsley_frontier` (via
-        ``AudsleyLevelKernel.removal_caps``) and the online
-        :func:`repro.online.incremental.incremental_admission` -- so
+        This single definition feeds the excess-lower-bound pruning of
+        :func:`repro.core.opa.audsley_frontier` through both of its
+        level adapters -- OPDCA's ``AudsleyLevelKernel.removal_caps``
+        and the online admission fallback's
+        ``repro.online.incremental._ExcessLevels.removal_caps`` -- so
         the soundness argument lives in exactly one place.  Built once
         per analyzer, cached.
         """
@@ -1378,9 +1378,10 @@ class DelayAnalyzer:
         changes the job-additive term by exactly ``-delta[i, p]`` and
         each stage maximum by an exactly-representable difference of
         two maxima, which is what lets the online admission controller
-        carry *certified bands* on every candidate's excess across an
-        Audsley run instead of re-evaluating whole levels
-        (:func:`repro.online.incremental.incremental_admission`).
+        maintain *certified bands* on every candidate's excess within
+        one Audsley run instead of re-evaluating whole levels (the
+        certified-band route of
+        :func:`repro.online.incremental.incremental_admission`).
 
         Returns ``(delta, planes, block_planes)``: the combined
         job-additive pair matrix (Eq. 1's arrive-after coefficients are

@@ -28,7 +28,11 @@ Two engines are provided:
   placement itself is free for the float-monotone bounds
   (:data:`~repro.core.dca.FLOAT_MONOTONE_EQUATIONS`) or one fused
   probe for ``eq10``.  Decisions are identical to the stock batch
-  loop -- the laziness only decides how much work is skipped.
+  loop -- the laziness only decides how much work is skipped.  With
+  ``discard=True`` it runs the admission controller's modified
+  Step 10 (discard the worst offender, go on), which is how the
+  online layer serves every admission outside its certified-band
+  gate (:mod:`repro.online.incremental`).
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ class OPAResult:
         Priority level at which no job was feasible (None on success).
     unassigned:
         Jobs still without a priority when the run stopped.
+    rejected:
+        Jobs discarded by the modified Step 10, in discard order
+        (:func:`audsley_frontier` with ``discard=True`` only).
     """
 
     feasible: bool
@@ -74,6 +81,7 @@ class OPAResult:
     order: list[int] = field(default_factory=list)
     failed_level: int | None = None
     unassigned: list[int] = field(default_factory=list)
+    rejected: list[int] = field(default_factory=list)
 
 
 def audsley(num_jobs: int, test: FeasibilityTest, *,
@@ -165,8 +173,10 @@ def audsley(num_jobs: int, test: FeasibilityTest, *,
 
 
 def audsley_frontier(num_jobs: int, kernel, *,
-                     candidates: Sequence[int] | None = None) -> OPAResult:
-    """Frontier-carrying Audsley loop (the default OPDCA batch path).
+                     candidates: Sequence[int] | None = None,
+                     discard: bool = False) -> OPAResult:
+    """Frontier-carrying Audsley loop (the default OPDCA batch path and
+    the online admission fallback).
 
     ``kernel`` is a level-evaluation adapter, typically
     :meth:`repro.core.schedulability.SDCA.level_kernel`: it must expose
@@ -174,7 +184,8 @@ def audsley_frontier(num_jobs: int, kernel, *,
     unassigned, assigned_lower)``, the flags ``monotone`` /
     ``float_monotone`` and the per-job threshold vector
     ``deadline_tol`` (see
-    :class:`~repro.core.schedulability.AudsleyLevelKernel`).
+    :class:`~repro.core.schedulability.AudsleyLevelKernel`), plus
+    ``discard(j)`` when run with ``discard=True``.
 
     The returned :class:`OPAResult` -- feasibility, priorities,
     assignment order and failure diagnostics -- is identical to
@@ -206,6 +217,17 @@ def audsley_frontier(num_jobs: int, kernel, *,
     frontier, which is always evaluated in full -- so failure
     diagnostics (``failed_level``, ``unassigned``) match the stock
     loop exactly.
+
+    ``discard=True`` replaces that failure with the admission
+    controller's modified Step 10: the candidate with the largest
+    kernel value (float ties to the larger index) is discarded --
+    ``kernel.discard(j)`` drops it from the kernel's active set -- and
+    the run goes on at the next level.  The run then always completes;
+    ``rejected`` lists the discards, ``feasible`` is true iff there
+    were none, and ``order`` ranks the placed jobs.  The worst-offender
+    rule reads the kernel values directly, so an admission kernel
+    reports *excesses* ``Delta_i - D_i`` (see
+    :class:`repro.online.incremental._ExcessLevels`).
     """
     if candidates is None:
         candidates = list(range(num_jobs))
@@ -216,6 +238,7 @@ def audsley_frontier(num_jobs: int, kernel, *,
     assigned_lower = np.zeros(num_jobs, dtype=bool)
     priority = np.zeros(num_jobs, dtype=np.int64)
     order_low_to_high: list[int] = []
+    rejected: list[int] = []
     deadline_tol = kernel.deadline_tol
     monotone = bool(kernel.monotone)
     float_monotone = bool(kernel.float_monotone)
@@ -232,8 +255,7 @@ def audsley_frontier(num_jobs: int, kernel, *,
     # lower bound still exceeds their deadline are *provably*
     # infeasible and skipped without evaluation; anything inside the
     # safety band is evaluated exactly, so decisions never depend on
-    # the bound, only the amount of skipped work does.  (Ported from
-    # the excess lower bounds of ``repro.online.incremental``.)
+    # the bound, only the amount of skipped work does.
     caps = kernel.removal_caps() if hasattr(kernel, "removal_caps") \
         else None
     lower_bound: "np.ndarray | None" = None
@@ -316,6 +338,18 @@ def audsley_frontier(num_jobs: int, kernel, *,
             if feasible:
                 placed = min(feasible)
 
+        if placed is None and discard:
+            # Modified Step 10 (the level was evaluated in full): drop
+            # the worst offender, exactly like ``max()`` over
+            # (value, index) tuples, and go on.
+            ties = np.flatnonzero(delays == delays.max())
+            worst = int(cands[ties.max()])
+            rejected.append(worst)
+            kernel.discard(worst)
+            unassigned[worst] = False
+            forget(worst)
+            level -= 1
+            continue
         if placed is None:
             return OPAResult(
                 feasible=False,
@@ -333,7 +367,8 @@ def audsley_frontier(num_jobs: int, kernel, *,
         level -= 1
 
     return OPAResult(
-        feasible=True,
+        feasible=not rejected,
         priority=priority,
         order=list(reversed(order_low_to_high)),
+        rejected=rejected,
     )

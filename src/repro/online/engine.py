@@ -49,7 +49,10 @@ __all__ = [
 #: ``sharding`` too.
 #: v4: the whole-universe certificate is a witness search, so sharded
 #: summaries' certificate counters moved (verdicts did not).
-ONLINE_CALL_KEY = "online/run@v4"
+#: v5: cold-mode all-or-nothing checks pass a job on
+#: ``Delta - D <= 1e-9``, like every other admission path (they used
+#: OPDCA's ``Delta <= D + 1e-9``).
+ONLINE_CALL_KEY = "online/run@v5"
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,18 @@ while guaranteeing **bitwise identical decisions and delay bounds**:
   of re-running the algebra.
 * :func:`incremental_admission` mirrors
   :func:`repro.core.admission.opdca_admission` step for step, but
-  evaluates each Audsley level *lazily* against a carried feasible
-  frontier: only the candidates stock Audsley would have to scan
-  before its placement are ever evaluated, through
-  :meth:`~repro.core.dca.DelayAnalyzer.delay_bounds_rows` row slices
-  and the fused single-candidate
-  :meth:`~repro.core.dca.DelayAnalyzer.delay_bound_level` probe, so
-  an accept-heavy level costs a thin row slice -- often nothing at
-  all -- instead of a full ``(k, k)`` batch.
+  evaluates Audsley levels *lazily*, on one of two routes.  The
+  float-monotone bounds on window-filtered analyzers (every online
+  default) run the certified-band controller
+  (:func:`_banded_audsley`): one exact level-1 evaluation, then exact
+  per-removal band updates, refreshing only the candidates whose band
+  straddles the tolerance.  Everything else runs the batch path's
+  frontier-carrying driver :func:`repro.core.opa.audsley_frontier`
+  with the paper's modified Step 10 (``discard=True``) over an excess
+  adapter (:class:`_ExcessLevels`): only the candidates stock Audsley
+  would scan before its placement are evaluated, so an accept-heavy
+  level costs a thin row slice -- often nothing at all -- instead of
+  a full ``(k, k)`` batch.
 * departures call :meth:`~repro.core.dca.DelayAnalyzer.\
 invalidate_job` on the persistent universe analyzer, purging exactly
   the memo entries whose context involves the leaving job.
@@ -51,6 +55,7 @@ import numpy as np
 from repro.core.admission import AdmissionResult, opdca_admission
 from repro.core.dca import FLOAT_MONOTONE_EQUATIONS, DelayAnalyzer
 from repro.core.kernels import auto_tier_online
+from repro.core.opa import audsley_frontier
 from repro.core.schedulability import SDCA, Policy, resolve_equation
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
@@ -69,9 +74,6 @@ class SubsetAnalysis:
     test: SDCA
     #: Universe indices of the subset's jobs, ascending.
     indices: np.ndarray
-    #: The owning analyzer's cross-decision band carry (``None`` for
-    #: cold analyses; see :class:`_BandCarrySlot`).
-    carry: "_BandCarrySlot | None" = None
 
 
 class IncrementalAnalyzer:
@@ -112,9 +114,6 @@ class IncrementalAnalyzer:
         self._active = np.zeros(universe.num_jobs, dtype=bool)
         #: tuple(indices) -> SubsetAnalysis (LRU; see :meth:`subset`).
         self._subset_memo: dict[tuple, SubsetAnalysis] = {}
-        #: Level-1 band snapshot carried across decisions (see
-        #: :class:`_BandCarrySlot`).
-        self._band_carry = _BandCarrySlot()
 
     @property
     def universe(self) -> JobSet:
@@ -178,6 +177,8 @@ class IncrementalAnalyzer:
         built slice *with its analyzer memos warm* (contribution
         matrices, band operands, eq5 blocking vectors, stage-major
         gathers) instead of re-gathering every plane from scratch.
+        Only these memos outlive a decision: every admission run
+        seeds its bounds from an exact evaluation of its own.
         Entries naming a departed job are purged by :meth:`depart`,
         mirroring the universe analyzer's ``invalidate_job``
         discipline.
@@ -202,8 +203,7 @@ class IncrementalAnalyzer:
             kernel = auto_tier_online(int(idx.size))
         analyzer = DelayAnalyzer(jobset, cache=cache, kernel=kernel)
         test = SDCA(jobset, self._policy, analyzer=analyzer)
-        analysis = SubsetAnalysis(jobset=jobset, test=test, indices=idx,
-                                  carry=self._band_carry)
+        analysis = SubsetAnalysis(jobset=jobset, test=test, indices=idx)
         while len(self._subset_memo) >= _SUBSET_MEMO_LIMIT:
             self._subset_memo.pop(next(iter(self._subset_memo)))
         self._subset_memo[key] = analysis
@@ -240,10 +240,7 @@ def cold_analysis(universe: JobSet, indices,
     return SubsetAnalysis(jobset=jobset, test=test, indices=idx)
 
 
-def incremental_admission(jobset: JobSet, test: SDCA, *,
-                          carry: "_BandCarrySlot | None" = None,
-                          key: "tuple[int, ...] | None" = None
-                          ) -> AdmissionResult:
+def incremental_admission(jobset: JobSet, test: SDCA) -> AdmissionResult:
     """Lazily evaluated OPDCA admission (Algorithm 1, modified Step 10).
 
     Produces an :class:`~repro.core.admission.AdmissionResult` whose
@@ -251,48 +248,37 @@ def incremental_admission(jobset: JobSet, test: SDCA, *,
     identical** to :func:`repro.core.admission.opdca_admission` on the
     same job set and test: candidates are scanned in the same index
     order against the same batch kernels, the first feasible candidate
-    is placed, and when a level rejects, the same worst-offender rule
-    (largest ``Delta_i - D_i``, ties to the larger index) applies.
+    (``Delta_i - D_i <= 1e-9``) is placed, and when a level rejects,
+    the same worst-offender rule (largest ``Delta_i - D_i``, ties to
+    the larger index) applies.
 
-    The difference is how much of a level is ever evaluated.  For the
-    OPA-compatible bounds, Audsley's third compatibility condition is
-    a *monotonicity* guarantee along the assignment trajectory: when a
-    job is placed below a candidate (moved from its higher- to its
-    lower-priority set) or discarded entirely, the candidate's bound
-    cannot increase.  A candidate once verified feasible therefore
-    stays feasible, and each level only needs
+    The difference is how much of a level is ever evaluated, and two
+    routes share the work (:func:`_lazy_audsley`):
 
-    * one thin :meth:`~repro.core.dca.DelayAnalyzer.delay_bounds_rows`
-      slice over the unassigned candidates *below* the known feasible
-      frontier (stock Audsley must scan exactly those in index order
-      before it can place), and
-    * the frontier placement itself, which for the float-monotone
-      bounds (:data:`~repro.core.dca.FLOAT_MONOTONE_EQUATIONS`) needs
-      no evaluation at all -- zeroing masked operands under numpy's
-      fixed pairwise-reduction tree can never increase a value, ulp
-      for ulp -- and for ``eq10`` is re-verified with one fused
-      :meth:`~repro.core.dca.DelayAnalyzer.delay_bound_level` probe.
+    * the float-monotone bounds on window-filtered analyzers -- every
+      online default -- run the certified-band controller
+      (:func:`_banded_audsley`): one exact level-1 evaluation, then
+      exact per-removal band updates, with exact refreshes only for
+      the candidates whose band straddles the tolerance;
+    * everything else (``eq10``, the non-OPA-compatible ``eq2``/``eq4``,
+      unfiltered analyzers) runs the batch path's frontier-carrying
+      driver :func:`repro.core.opa.audsley_frontier` with
+      ``discard=True`` over an excess adapter (:class:`_ExcessLevels`):
+      only the candidates below the carried feasible frontier are
+      evaluated, the frontier placement is free under float-monotone
+      bounds and one fused
+      :meth:`~repro.core.dca.DelayAnalyzer.delay_bound_level` probe
+      for ``eq10``, and a level with no feasible candidate is
+      evaluated in full before its worst offender is discarded.
 
-    When a whole level is verified feasible under a float-monotone
-    bound, the remaining trajectory is fully determined (stock always
-    places the lowest-indexed unassigned candidate) and is emitted in
-    one step with no further evaluation.  Should the ``eq10``
-    re-verification ever fail (conceivable only when a bound sits
-    within one ulp of the deadline tolerance), the level falls back
-    to the stock full-batch evaluation, so decisions are *always*
-    exact -- the fast path only decides how much work is skipped,
-    never the outcome.  Levels with no known-feasible candidate and
-    the non-OPA-compatible equations (``eq2``/``eq4``) take the
-    full-batch path too, which is bit-for-bit the stock evaluation.
+    Decisions are *always* exact -- both routes only decide how much
+    work is skipped, never the outcome.
     """
-    return _lazy_audsley(jobset, test, all_or_nothing=False,
-                         carry=carry, key=key)
+    return _lazy_audsley(jobset, test, discard=True)
 
 
-def incremental_feasibility(jobset: JobSet, test: SDCA, *,
-                            carry: "_BandCarrySlot | None" = None,
-                            key: "tuple[int, ...] | None" = None
-                            ) -> "AdmissionResult | None":
+def incremental_feasibility(jobset: JobSet,
+                            test: SDCA) -> "AdmissionResult | None":
     """All-or-nothing variant: feasible assignment or ``None``.
 
     Runs the same lazily evaluated Audsley greedy as
@@ -307,28 +293,23 @@ def incremental_feasibility(jobset: JobSet, test: SDCA, *,
     trajectory.  ``None`` is returned precisely when
     ``opdca_admission`` would reject at least one job.
     """
-    return _lazy_audsley(jobset, test, all_or_nothing=True,
-                         carry=carry, key=key)
+    return _lazy_audsley(jobset, test, discard=False)
 
 
 def _lazy_audsley(jobset: JobSet, test: SDCA, *,
-                  all_or_nothing: bool,
-                  carry: "_BandCarrySlot | None" = None,
-                  key: "tuple[int, ...] | None" = None
-                  ) -> "AdmissionResult | None":
+                  discard: bool) -> "AdmissionResult | None":
     """Controller dispatch: the float-monotone bounds on
     window-filtered analyzers run the *certified-band* Audsley
     (:func:`_banded_audsley`, one full level evaluation per decision
     plus exact refreshes of the rare straddlers); everything else --
     ``eq10``/``eq2``/``eq4`` and unfiltered analyzers -- takes the
-    frontier-carrying lazy scan below.  Decisions and delay vectors
-    are bitwise identical either way."""
+    frontier-carrying driver (:func:`_frontier_admission`).  Decisions
+    and delay vectors are bitwise identical either way.  ``discard``
+    selects the modified Step 10 (full controller) over stopping at
+    the first infeasible level (all-or-nothing)."""
     if _banded(jobset, test):
-        return _banded_audsley(jobset, test,
-                               all_or_nothing=all_or_nothing,
-                               carry=carry, key=key)
-    return _legacy_lazy_audsley(jobset, test,
-                                all_or_nothing=all_or_nothing)
+        return _banded_audsley(jobset, test, discard=discard)
+    return _frontier_admission(jobset, test, discard=discard)
 
 
 def _banded(jobset: JobSet, test: SDCA) -> bool:
@@ -338,174 +319,63 @@ def _banded(jobset: JobSet, test: SDCA) -> bool:
                 and test.analyzer.window_filter and jobset.num_jobs)
 
 
-def _legacy_lazy_audsley(jobset: JobSet, test: SDCA, *,
-                         all_or_nothing: bool
-                         ) -> "AdmissionResult | None":
-    analyzer = test.analyzer
-    equation = test.equation
-    lower_aware = test.uses_lower_set
-    monotone = test.opa_compatible
-    float_monotone = equation in FLOAT_MONOTONE_EQUATIONS
-    n = jobset.num_jobs
-    deadlines = jobset.D
+class _ExcessLevels:
+    """Level adapter of :func:`repro.core.opa.audsley_frontier` for
+    admission: kernel values are *excesses* ``Delta_i - D_i`` against
+    a ``1e-9`` threshold -- ``opdca_admission``'s pass rule and
+    worst-offender key -- evaluated over the adapter's own ``active``
+    mask, which :meth:`discard` clears.
 
-    active = np.ones(n, dtype=bool)
-    unassigned = np.ones(n, dtype=bool)
-    assigned_lower = np.zeros(n, dtype=bool)
-    priority = np.zeros(n, dtype=np.int64)
-    rejected: list[int] = []
-    order_low_to_high: list[int] = []
-    #: Candidates verified feasible under an earlier (pessimistic)
-    #: context of this run; monotonicity keeps them feasible.
-    feasible: set[int] = set()
+    Unlike :class:`~repro.core.schedulability.AudsleyLevelKernel`
+    (OPDCA's ``D + DEADLINE_TOLERANCE`` rule over absolute bounds),
+    excess-lower-bound pruning is enabled for the float-monotone
+    equations only (:meth:`removal_caps`)."""
 
-    # Sound per-candidate lower bounds on the *current* excess
-    # ``Delta_i - D_i`` (float-monotone bounds only).  Removing job
-    # ``p`` from a candidate's context can lower its bound by at most
-    # ``cap[p]`` (see :meth:`DelayAnalyzer.removal_caps`, the single
-    # shared soundness argument, also consumed by the core frontier
-    # engine).  An evaluated excess therefore stays a valid lower
-    # bound across placements and discards once each removal's cap --
-    # padded by a safety margin orders of magnitude above the
-    # accumulated float error of the kernels (~1e-11 relative) -- is
-    # subtracted.  Candidates whose lower bound still exceeds the
-    # deadline tolerance are *provably* infeasible and are skipped
-    # without evaluation; anything inside the safety band is evaluated
-    # exactly, so decisions never depend on the bound, only the amount
-    # of skipped work does.
-    lower_bound: "np.ndarray | None" = None
-    removal_caps = analyzer.removal_caps() if float_monotone else None
-    _SAFETY = 1e-7
+    def __init__(self, jobset: JobSet, test: SDCA) -> None:
+        n = jobset.num_jobs
+        self._analyzer = test.analyzer
+        self._equation = test.equation
+        self._lower_aware = test.uses_lower_set
+        self._deadlines = jobset.D
+        self.active = np.ones(n, dtype=bool)
+        self.monotone = test.opa_compatible
+        self.float_monotone = test.equation in FLOAT_MONOTONE_EQUATIONS
+        self.deadline_tol = np.full(n, 1e-9)
 
-    def remember(candidates: np.ndarray,
-                 excesses: np.ndarray) -> None:
-        nonlocal lower_bound
-        if removal_caps is None:
-            return
-        if lower_bound is None:
-            lower_bound = np.full(n, -np.inf)
-        lower_bound[candidates] = (
-            excesses - (_SAFETY + 1e-9 * np.abs(excesses)))
-
-    def forget(removed: int) -> None:
-        nonlocal lower_bound
-        if lower_bound is not None:
-            lower_bound -= removal_caps[:, removed] + 1e-9
-
-    def probe_one(candidate: int) -> float:
-        bound = analyzer.delay_bound_level(
-            candidate, unassigned,
-            assigned_lower if lower_aware else None,
-            equation=equation, active=active)
-        return float(bound) - float(deadlines[candidate])
-
-    def batch_level(candidates: np.ndarray) -> np.ndarray:
-        """Exact excesses ``Delta_i - D_i`` of every candidate, served
-        by the analyzer's level kernel (the paired contribution
-        matrices by default -- bitwise identical to the broadcast
-        ``delay_bounds_rows`` slices this used to evaluate)."""
-        delays = analyzer.level_bounds(
-            unassigned, assigned_lower if lower_aware else None,
-            equation=equation, active=active, rows=candidates)
-        return delays - deadlines[candidates]
-
-    while unassigned.any():
-        level = int(unassigned.sum())
-        candidates = np.flatnonzero(unassigned)
-        frontier = min(feasible) if feasible else None
-        below = (candidates[:np.searchsorted(candidates, frontier)]
-                 if frontier is not None else ())
-        placed = None
-        excesses: "np.ndarray | None" = None
-
-        if monotone and frontier is not None \
-                and below.size + 1 < candidates.size:
-            # Lazy path.  Stock Audsley must scan the candidates below
-            # the carried frontier in index order anyway; evaluate
-            # exactly those not already *proven* infeasible by their
-            # excess lower bounds, in one row-sliced call -- O(b k N)
-            # against the full level's O(k^2 N) -- and place the first
-            # feasible one, else the frontier candidate itself.
-            if below.size and lower_bound is not None:
-                below = below[lower_bound[below] <= 1e-9]
-            if below.size:
-                below_excesses = batch_level(below)
-                remember(below, below_excesses)
-                passing = np.flatnonzero(below_excesses <= 1e-9)
-                if passing.size:
-                    placed = int(below[passing[0]])
-                    # The other passing sub-frontier candidates are
-                    # verified *now*; remembering them tightens the
-                    # frontier for the levels that follow.
-                    feasible.update(
-                        int(below[p]) for p in passing[1:])
-            if placed is None:
-                if float_monotone or probe_one(frontier) <= 1e-9:
-                    # Float-monotone kernels cannot un-satisfy a
-                    # verified candidate, ulp for ulp -- no per-level
-                    # re-verification needed.  eq10 re-verifies (its
-                    # blocking term grows along the trajectory).
-                    placed = frontier
-                else:
-                    # Ulp-level fallback: evaluate the level in full.
-                    excesses = batch_level(candidates)
-                    remember(candidates, excesses)
-        elif all_or_nothing and frontier is None \
-                and lower_bound is not None \
-                and (lower_bound[candidates] > 1e-9).all():
-            # Every candidate is provably infeasible at this level:
-            # the all-or-nothing run fails with no evaluation at all.
+    def removal_caps(self) -> "np.ndarray | None":
+        if not self.float_monotone:
             return None
-        else:
-            # No usable frontier (first level of a run, right after a
-            # discard, or a non-monotone bound), or the frontier sits
-            # at the very top of the level: evaluate it in full, which
-            # also (re)seeds the feasible frontier for later levels.
-            excesses = batch_level(candidates)
-            remember(candidates, excesses)
+        return self._analyzer.removal_caps()
 
-        if excesses is not None and placed is None:
-            passing = np.flatnonzero(excesses <= 1e-9)
-            if float_monotone and passing.size == candidates.size:
-                # Every candidate is feasible and (float-exact)
-                # monotonicity keeps each of them feasible at every
-                # later level, where stock Audsley always places the
-                # lowest-indexed unassigned candidate.  The remaining
-                # trajectory is therefore fully determined: emit it in
-                # one step, no further evaluation.
-                for candidate in candidates:
-                    candidate = int(candidate)
-                    priority[candidate] = level
-                    level -= 1
-                    order_low_to_high.append(candidate)
-                unassigned[candidates] = False
-                break
-            feasible = {int(candidates[p]) for p in passing}
-            if feasible:
-                placed = min(feasible)
+    def delays_rows(self, rows: np.ndarray, unassigned: np.ndarray,
+                    assigned_lower: np.ndarray) -> np.ndarray:
+        delays = self._analyzer.level_bounds(
+            unassigned, assigned_lower if self._lower_aware else None,
+            equation=self._equation, active=self.active, rows=rows)
+        return delays - self._deadlines[rows]
 
-        if placed is not None:
-            feasible.discard(placed)
-            priority[placed] = level
-            unassigned[placed] = False
-            assigned_lower[placed] = True
-            order_low_to_high.append(placed)
-            forget(placed)
-            continue
-        if all_or_nothing:
-            return None
-        # Modified Step 10: discard the worst offender -- largest
-        # excess, float ties resolved to the larger job index, exactly
-        # like ``max()`` over (excess, index) tuples -- and retry.
-        worst = np.flatnonzero(excesses == excesses.max())
-        worst_job = int(candidates[worst.max()])
-        rejected.append(worst_job)
-        active[worst_job] = False
-        unassigned[worst_job] = False
-        forget(worst_job)
+    def probe(self, i: int, unassigned: np.ndarray,
+              assigned_lower: np.ndarray) -> float:
+        bound = self._analyzer.delay_bound_level(
+            i, unassigned, assigned_lower if self._lower_aware else None,
+            equation=self._equation, active=self.active)
+        return float(bound) - float(self._deadlines[i])
 
-    return _finish_result(analyzer, equation, n, active,
-                          order_low_to_high, rejected)
+    def discard(self, j: int) -> None:
+        self.active[j] = False
+
+
+def _frontier_admission(jobset: JobSet, test: SDCA, *,
+                        discard: bool) -> "AdmissionResult | None":
+    """Admission through the batch path's frontier-carrying driver:
+    the full controller with ``discard``, else feasible-or-``None``."""
+    levels = _ExcessLevels(jobset, test)
+    result = audsley_frontier(jobset.num_jobs, levels, discard=discard)
+    if result.failed_level is not None:
+        return None
+    return _finish_result(test.analyzer, test.equation, jobset.num_jobs,
+                          levels.active, result.order[::-1],
+                          result.rejected)
 
 
 def _final_delays(analyzer: DelayAnalyzer, equation: str, n: int,
@@ -603,25 +473,6 @@ def _drop_stage_maxima(planes: np.ndarray, maxima: np.ndarray,
     np.add.at(err, rows, rel * drop + abs_)
 
 
-def _raise_stage_maxima(planes: np.ndarray, maxima: np.ndarray,
-                        ps, est: np.ndarray, err: np.ndarray,
-                        rel: float, abs_: float) -> None:
-    """Fold the columns ``ps`` *into* the per-stage row maxima (the
-    carry transform's column additions), crediting ``est`` by the
-    exact rises and padding ``err`` for the rounding of each
-    addition."""
-    if isinstance(ps, int):
-        col = planes[:, :, ps]
-    else:
-        col = planes[:, :, ps].max(axis=2)
-    rise = col - maxima
-    np.maximum(rise, 0.0, out=rise)
-    total = rise.sum(axis=0)
-    est += total
-    err += rel * total + abs_ * planes.shape[0]
-    np.maximum(maxima, col, out=maxima)
-
-
 class _ExcessBands:
     """Certified bands ``est +- err`` on every candidate's excess
     ``Delta_i - D_i``, maintained by *exact per-removal deltas*.
@@ -654,8 +505,7 @@ class _ExcessBands:
 
     def __init__(self, analyzer: DelayAnalyzer, equation: str,
                  deadlines: np.ndarray, cols: np.ndarray,
-                 active: np.ndarray,
-                 state: "tuple | None" = None) -> None:
+                 active: np.ndarray) -> None:
         delta, planes, block = analyzer.band_operands(equation)
         self._delta = delta
         self._planes = planes
@@ -663,14 +513,6 @@ class _ExcessBands:
         self._deadlines = deadlines
         self._cols = cols.copy()
         n = delta.shape[0]
-        if state is not None:
-            # Adopt a carried level-1 state (est/err/smax/bmax already
-            # transformed into this subset's index space and owned by
-            # the caller; see :func:`_carry_transform`).
-            self.est, self.err, self._smax, bmax = state
-            self._bact = active.copy() if block is not None else None
-            self._bmax = bmax
-            return
         self.est = np.zeros(n)
         self.err = np.zeros(n)
         self._smax = np.empty((planes.shape[0], n))
@@ -739,176 +581,8 @@ class _ExcessBands:
                            watch)
 
 
-#: Carry-transform guards: bail to a full level-1 evaluation when the
-#: candidate set changed by more than this many jobs (the transform's
-#: per-job column work would approach the batch kernel's cost) ...
-_CARRY_MAX_DIFF = 8
-#: ... or after this many chained transforms without a fresh full
-#: seed, bounding the accumulated ``err`` pad (~age * 1e-9 relative)
-#: far below any margin that could matter.
-_CARRY_MAX_AGE = 64
-
-
-class _BandCarrySlot:
-    """Level-1 band snapshot carried across an analyzer's decisions.
-
-    Consecutive online decisions differ by a handful of jobs (the new
-    arrival, last decision's rejects, departures in between), while
-    their level-1 excesses differ by exactly the band decomposition's
-    per-job column deltas (:meth:`~repro.core.dca.DelayAnalyzer.\
-band_operands` -- the same exact-maxima algebra that maintains bands
-    *within* a run).  One slot per :class:`IncrementalAnalyzer` stores
-    the latest decision's level-1 state -- ``est``/``err`` bands,
-    per-stage row maxima, and the operand arrays needed to *remove*
-    its jobs later -- keyed by the candidate uid tuple.  The next
-    decision transforms it into its own candidate space
-    (:func:`_carry_transform`) and only evaluates the rows it has no
-    bands for (typically just the new arrival), replacing the per-event
-    full level-1 batch with a few vectorized column updates.
-
-    Snapshot values stay valid across subsets because every operand
-    entry is an elementwise slice of the same universe tensors (the
-    pair entry for uids ``(i, k)`` is bitwise identical in every
-    subset containing both), and the stage axis is system-wide.
-    """
-
-    __slots__ = ("key", "equation", "age", "est", "err", "smax",
-                 "bmax", "delta", "planes", "block")
-
-    def __init__(self) -> None:
-        self.key: "tuple[int, ...] | None" = None
-
-    def store(self, key: "tuple[int, ...]", equation: str,
-              bands: _ExcessBands, age: int) -> None:
-        """Snapshot ``bands`` (still at level-1 state: every candidate
-        seeded or transformed, no placements applied yet)."""
-        self.key = key
-        self.equation = equation
-        self.age = age
-        self.est = bands.est.copy()
-        self.err = bands.err.copy()
-        self.smax = bands._smax.copy()
-        self.bmax = (bands._bmax.copy()
-                     if bands._bmax is not None else None)
-        self.delta = bands._delta
-        self.planes = bands._planes
-        self.block = bands._block
-
-
-def _carry_transform(carry: _BandCarrySlot,
-                     key: "tuple[int, ...]",
-                     analyzer: DelayAnalyzer, equation: str) -> (
-        "tuple[tuple, np.ndarray] | None"):
-    """Map the carried level-1 snapshot onto a new candidate set.
-
-    Returns ``(state, fresh_rows)`` -- the adopted
-    ``(est, err, smax, bmax)`` arrays in the new subset's index space
-    plus the new-subset positions that still need an exact seed (jobs
-    with no carried bands) -- or ``None`` when no usable snapshot
-    exists and the caller must run the full level-1 evaluation.
-
-    Jobs leaving the candidate set are removed column-by-column in the
-    *old* subset's index space (exact ``-delta`` debits plus dropped
-    stage maxima, the same algebra as in-run removals; for eq5 the
-    leaver also exits the blocking maxima -- level 1 of the new
-    decision never sees it as active).  Jobs joining are folded in the
-    *new* subset's space (exact ``+delta`` credits plus raised
-    maxima); their own rows get no bands here, only the row maxima
-    later removals need.
-    """
-    old_key = carry.key
-    if old_key is None or carry.equation != equation:
-        return None
-    if carry.age >= _CARRY_MAX_AGE:
-        return None
-    old_set = set(old_key)
-    new_set = set(key)
-    removed = [i for i, u in enumerate(old_key) if u not in new_set]
-    added = [i for i, u in enumerate(key) if u not in old_set]
-    if len(removed) + len(added) > _CARRY_MAX_DIFF:
-        return None
-    rel, abs_ = _ExcessBands._REL, _ExcessBands._ABS
-    est = carry.est.copy()
-    err = carry.err.copy()
-    smax = carry.smax.copy()
-    bmax = carry.bmax.copy() if carry.bmax is not None else None
-
-    # 1) Column removals, batched, in the old subset's index space
-    # (one combined debit and one maxima sweep -- the recomputed
-    # maxima and the telescoped ``est`` debit equal the one-at-a-time
-    # fold exactly).
-    if removed:
-        ps = np.asarray(removed, dtype=np.int64)
-        cols = np.ones(len(old_key), dtype=bool)
-        cols[ps] = False
-        D = carry.delta[:, ps]
-        est -= D.sum(axis=1)
-        err += rel * np.abs(D).sum(axis=1) + abs_ * ps.size
-        _drop_stage_maxima(carry.planes, smax, cols, ps,
-                           est, err, rel, abs_)
-        if bmax is not None:
-            _drop_stage_maxima(carry.block, bmax, cols, ps,
-                               est, err, rel, abs_)
-
-    # 2) Re-index the surviving rows into the new subset's space (both
-    # keys ascend by uid, so boolean compaction aligns the common
-    # rows).
-    n = len(key)
-    delta, planes, block = analyzer.band_operands(equation)
-    if removed:
-        keep_old = np.ones(len(old_key), dtype=bool)
-        keep_old[removed] = False
-        est = est[keep_old]
-        err = err[keep_old]
-        smax = smax[:, keep_old]
-        if bmax is not None:
-            bmax = bmax[:, keep_old]
-    if added:
-        est_n = np.zeros(n)
-        err_n = np.zeros(n)
-        smax_n = np.zeros((smax.shape[0], n))
-        keep_new = np.ones(n, dtype=bool)
-        keep_new[added] = False
-        est_n[keep_new] = est
-        err_n[keep_new] = err
-        smax_n[:, keep_new] = smax
-        if bmax is not None:
-            bmax_n = np.zeros((bmax.shape[0], n))
-            bmax_n[:, keep_new] = bmax
-        else:
-            bmax_n = None
-    else:
-        est_n, err_n, smax_n, bmax_n = est, err, smax, bmax
-
-    # 3) Column additions, batched, in the new subset's index space
-    # (the per-column maxima rises telescope: folding the columns in
-    # one at a time credits ``est`` by exactly ``max(old, cols...) -
-    # old`` in total, which is what the batched fold computes).
-    if added:
-        ps = np.asarray(added, dtype=np.int64)
-        D = delta[:, ps]
-        est_n += D.sum(axis=1)
-        err_n += rel * np.abs(D).sum(axis=1) + abs_ * ps.size
-        _raise_stage_maxima(planes, smax_n, ps, est_n, err_n,
-                            rel, abs_)
-        if bmax_n is not None:
-            _raise_stage_maxima(block, bmax_n, ps, est_n, err_n,
-                                rel, abs_)
-    # The joining rows' own maxima (needed by later removals and the
-    # next snapshot): full row maxima -- cheap, a few rows.
-    for p in added:
-        smax_n[:, p] = planes[:, p, :].max(axis=1)
-        if bmax_n is not None:
-            bmax_n[:, p] = block[:, p, :].max(axis=1)
-    return ((est_n, err_n, smax_n, bmax_n),
-            np.asarray(added, dtype=np.int64))
-
-
 def _banded_audsley(jobset: JobSet, test: SDCA, *,
-                    all_or_nothing: bool,
-                    carry: "_BandCarrySlot | None" = None,
-                    key: "tuple[int, ...] | None" = None
-                    ) -> "AdmissionResult | None":
+                    discard: bool) -> "AdmissionResult | None":
     """Certified-band Audsley admission (float-monotone bounds).
 
     Bitwise identical, decision for decision and delay for delay, to
@@ -959,47 +633,24 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
             rows=rows)
         return delays - deadlines[rows]
 
-    carried = (_carry_transform(carry, key, analyzer, equation)
-               if carry is not None and key is not None else None)
-    #: Exact excesses of the *current* level's candidates, when a full
-    #: evaluation just happened (level 1); later levels classify from
-    #: the bands instead.
-    exact_level: "np.ndarray | None" = None
-    if carried is not None:
-        state, fresh_rows = carried
-        bands = _ExcessBands(analyzer, equation, deadlines,
-                             unassigned & active, active, state=state)
-        if fresh_rows.size:
-            bands.seed(fresh_rows, exact_rows(fresh_rows))
-        age = carry.age + 1
-    else:
-        candidates = np.flatnonzero(unassigned)
-        excesses = exact_rows(candidates)
-        bands = _ExcessBands(analyzer, equation, deadlines,
-                             unassigned & active, active)
-        bands.seed(candidates, excesses)
-        exact_level = excesses
-        age = 0
-    if carry is not None and key is not None:
-        # Snapshot the level-1 state for the next decision, before the
-        # run's placements/discards mutate it.
-        carry.store(key, equation, bands, age)
-
-    cand = [int(c) for c in np.flatnonzero(unassigned)]
-    level = len(cand)
+    cand = list(range(n))
+    level = n
+    rows = np.arange(n)
+    level_one = exact_rows(rows)
+    bands = _ExcessBands(analyzer, equation, deadlines, unassigned,
+                         active)
+    bands.seed(rows, level_one)
     #: Candidates whose bands are still live.  A job classified
     #: certainly feasible leaves the watch for good: float monotonicity
     #: (removals only lower excesses) locks the classification at every
     #: later level, so the bands stop maintaining its (never again
     #: read) row maxima.
-    watched = np.zeros(n, dtype=bool)
-    watched[cand] = True
-    #: job index -> exact excess known this level (the walk resolves
-    #: straddlers lazily, one row at a time, in stock scan order --
-    #: straddlers past the first pass are never evaluated at all).
-    fresh: dict[int, float] = {}
-    if exact_level is not None:
-        fresh = {j: float(v) for j, v in zip(cand, exact_level)}
+    watched = np.ones(n, dtype=bool)
+    #: job index -> exact excess known this level (level 1 is exact;
+    #: later levels resolve straddlers lazily, one row at a time, in
+    #: stock scan order -- straddlers past the first pass are never
+    #: evaluated at all).
+    fresh: dict[int, float] = dict(zip(cand, level_one.tolist()))
 
     #: python twin of ``watched`` for the walk's per-candidate check
     #: (set membership beats a numpy scalar read at this size).
@@ -1089,7 +740,7 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
             fresh.clear()
             continue
 
-        if all_or_nothing:
+        if not discard:
             # No feasible candidate at this level (the walk resolved
             # every straddler exactly without finding a pass): the run
             # fails.
@@ -1208,9 +859,7 @@ def admit(analysis: SubsetAnalysis, *,
     equivalence tests and the benchmark compare against).
     """
     if mode == "incremental":
-        return incremental_admission(
-            analysis.jobset, analysis.test, carry=analysis.carry,
-            key=tuple(int(i) for i in analysis.indices))
+        return incremental_admission(analysis.jobset, analysis.test)
     if mode == "cold":
         return opdca_admission(analysis.jobset, analysis.test.equation,
                                test=analysis.test)
@@ -1247,21 +896,13 @@ def admit_trajectory(analysis: SubsetAnalysis, *,
     job, and on success bitwise identical to it.  The retry queue
     uses this instead of the full controller because a failed retry
     stops at its first infeasible level instead of paying the discard
-    cascade.
+    cascade.  ``mode="cold"`` runs the frontier-carrying driver over
+    the cold analysis (:func:`_frontier_admission`), with the same
+    ``Delta_i - D_i <= 1e-9`` pass rule as cold :func:`admit`.
     """
     if mode == "incremental":
-        return incremental_feasibility(
-            analysis.jobset, analysis.test, carry=analysis.carry,
-            key=tuple(int(i) for i in analysis.indices))
+        return incremental_feasibility(analysis.jobset, analysis.test)
     if mode == "cold":
-        from repro.core.opdca import opdca
-
-        result = opdca(analysis.jobset, analysis.test.equation,
-                       test=analysis.test)
-        if not result.feasible:
-            return None
-        return AdmissionResult(
-            accepted=list(range(analysis.jobset.num_jobs)),
-            rejected=[], ordering=result.ordering.priority,
-            delays=result.delays)
+        return _frontier_admission(analysis.jobset, analysis.test,
+                                   discard=False)
     raise ValueError(f"mode must be 'incremental' or 'cold', got {mode!r}")

@@ -1,7 +1,9 @@
 """Unit tests for the generic Audsley OPA engine."""
 
 
-from repro.core.opa import audsley
+import numpy as np
+
+from repro.core.opa import audsley, audsley_frontier
 
 
 def priority_test(feasible_orders):
@@ -110,3 +112,55 @@ class TestOptimality:
         assert result.feasible
         assert result.order == [2, 1, 0]
         assert result.priority.tolist() == [3, 2, 1]
+
+
+class _StaticKernel:
+    """Frontier kernel whose values ignore the level context: a
+    candidate passes iff its value is at most 1."""
+
+    monotone = True
+    float_monotone = True
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.deadline_tol = np.ones(len(values))
+        self.discarded = []
+
+    def delays_rows(self, rows, unassigned, assigned_lower):
+        return self.values[rows]
+
+    def probe(self, i, unassigned, assigned_lower):
+        return float(self.values[i])
+
+    def discard(self, j):
+        self.discarded.append(j)
+
+
+class TestFrontierDiscard:
+    def test_stops_at_the_first_infeasible_level_by_default(self):
+        result = audsley_frontier(3, _StaticKernel([5.0, 0.0, 5.0]))
+        assert not result.feasible
+        assert result.failed_level == 2
+        assert result.unassigned == [0, 2]
+        assert result.rejected == []
+
+    def test_discards_the_worst_offender_ties_to_larger_index(self):
+        kernel = _StaticKernel([5.0, 0.0, 5.0, 3.0])
+        result = audsley_frontier(4, kernel, discard=True)
+        # Level 4 places J1; level 3 ties J0/J2 at 5 -> J2 goes first,
+        # then J0 (5 > 3), then J3 (still above 1) at level 1.
+        assert result.rejected == [2, 0, 3]
+        assert kernel.discarded == [2, 0, 3]
+        assert result.order == [1]
+        assert not result.feasible
+        assert result.failed_level is None
+
+    def test_without_discards_matches_the_plain_run(self):
+        values = [0.5, 0.0, 1.0]
+        plain = audsley_frontier(3, _StaticKernel(values))
+        kernel = _StaticKernel(values)
+        discarding = audsley_frontier(3, kernel, discard=True)
+        assert discarding.feasible and plain.feasible
+        assert discarding.order == plain.order
+        assert discarding.priority.tolist() == plain.priority.tolist()
+        assert discarding.rejected == kernel.discarded == []

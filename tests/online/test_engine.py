@@ -318,7 +318,7 @@ class TestScenarioHelpers:
     def test_single_shard_scenario_reports_sharding(self):
         from repro.online.engine import ONLINE_CALL_KEY
 
-        assert ONLINE_CALL_KEY == "online/run@v4"
+        assert ONLINE_CALL_KEY == "online/run@v5"
         spec = OnlineScenarioSpec(
             stream=StreamConfig(horizon=40.0, rate=0.3), seed=2)
         result = run_online_scenario(spec)

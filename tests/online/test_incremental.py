@@ -218,7 +218,15 @@ admission_params = st.fixed_dictionaries({
     # eq10 exercises the monotone-but-not-float-monotone path (fused
     # frontier re-verification); eq3/eq5/eq6 the float-monotone one.
     "equation": st.sampled_from(["eq3", "eq5", "eq6", "eq10"]),
+    # Unfiltered analyzers route eq3/eq5/eq6 through the frontier
+    # driver instead of the certified bands.
+    "window_filter": st.booleans(),
 })
+
+
+def _fresh_test(jobset, equation, window_filter):
+    return SDCA(jobset, equation,
+                analyzer=DelayAnalyzer(jobset, window_filter=window_filter))
 
 
 class TestIncrementalAdmission:
@@ -228,9 +236,13 @@ class TestIncrementalAdmission:
         jobset = _universe(params["seed"],
                            num_jobs=params["num_jobs"],
                            offsets=params["offsets"])
-        test = SDCA(jobset, params["equation"])
-        lazy = incremental_admission(jobset, test)
-        stock = opdca_admission(jobset, params["equation"])
+        equation = params["equation"]
+        window_filter = params["window_filter"]
+        lazy = incremental_admission(
+            jobset, _fresh_test(jobset, equation, window_filter))
+        stock = opdca_admission(
+            jobset, equation,
+            test=_fresh_test(jobset, equation, window_filter))
         assert lazy.accepted == stock.accepted
         assert lazy.rejected == stock.rejected
         assert np.array_equal(lazy.ordering, stock.ordering)
@@ -285,19 +297,21 @@ class TestIncrementalAdmission:
                               equal_nan=True)
 
     @settings(max_examples=25, deadline=None)
-    @given(params=st.fixed_dictionaries({
-        "seed": st.integers(0, 10_000),
-        "num_jobs": st.integers(2, 14),
-    }))
+    @given(params=admission_params)
     def test_feasibility_variant_matches_stock(self, params):
         """None exactly when the full controller rejects someone; on
         success, bitwise identical to the full controller."""
         from repro.online.incremental import incremental_feasibility
 
-        jobset = _universe(params["seed"], num_jobs=params["num_jobs"])
-        test = SDCA(jobset, "eq6")
-        outcome = incremental_feasibility(jobset, test)
-        stock = opdca_admission(jobset, "eq6")
+        jobset = _universe(params["seed"], num_jobs=params["num_jobs"],
+                           offsets=params["offsets"])
+        equation = params["equation"]
+        window_filter = params["window_filter"]
+        outcome = incremental_feasibility(
+            jobset, _fresh_test(jobset, equation, window_filter))
+        stock = opdca_admission(
+            jobset, equation,
+            test=_fresh_test(jobset, equation, window_filter))
         if stock.rejected:
             assert outcome is None
         else:
@@ -307,6 +321,31 @@ class TestIncrementalAdmission:
             assert np.array_equal(outcome.ordering, stock.ordering)
             assert np.array_equal(outcome.delays, stock.delays,
                                   equal_nan=True)
+
+
+    def test_cold_all_or_nothing_uses_the_admission_pass_rule(self):
+        """A job whose excess ``Delta - D`` sits just above 1e-9 yet
+        within ``D + 1e-9``: every admission path -- cold or
+        incremental, full controller or all-or-nothing -- rejects it
+        under the same ``Delta - D <= 1e-9`` rule."""
+        from repro.core.job import Job
+        from repro.core.system import MSMRSystem
+        from repro.online.incremental import (
+            admit,
+            admit_all_or_nothing,
+            admit_trajectory,
+        )
+
+        jobset = JobSet(MSMRSystem.uniform(1, 1), [
+            Job(processing=(10.000000001,), deadline=10.0,
+                resources=(0,))])
+        cold = cold_analysis(jobset, [0], "eq6")
+        warm = IncrementalAnalyzer(jobset, "eq6").subset([0])
+        assert admit(cold, mode="cold").rejected == [0]
+        assert admit(warm).rejected == [0]
+        for analysis, mode in ((cold, "cold"), (warm, "incremental")):
+            assert admit_trajectory(analysis, mode=mode) is None
+            assert admit_all_or_nothing(analysis, mode=mode) is None
 
 
 # -- whole-universe witness search ------------------------------------
