@@ -57,20 +57,13 @@ POOL_SIZE = 40
 #: Decision-path timing reruns per (stream, mode); best-of is used.
 REPEATS = 3
 
-#: Coalescing window of the slate leg (seconds of stream time):
-#: consecutive arrivals closer than this are decided through one
-#: micro-batched all-or-nothing screen (``slate_window``; decisions
-#: are property-tested identical to sequential replay).
-SLATE_WINDOW = 0.5
 
-
-def _decision_seconds(stream, mode: str, kernel: str = "paired",
-                      slate_window: float = 0.0) -> "tuple[float, dict]":
+def _decision_seconds(stream, mode: str,
+                      kernel: str = "paired") -> "tuple[float, dict]":
     best = float("inf")
     summary = None
     for _ in range(REPEATS):
-        engine = OnlineAdmissionEngine(stream, mode=mode, kernel=kernel,
-                                       slate_window=slate_window)
+        engine = OnlineAdmissionEngine(stream, mode=mode, kernel=kernel)
         result = engine.run()
         best = min(best, engine.decision_seconds)
         summary = result.summary
@@ -92,8 +85,7 @@ def test_online_engine(benchmark):
 
     from repro.core.kernels import HAS_NUMBA
 
-    totals = {"incremental": 0.0, "cold": 0.0,
-              "incremental/compiled": 0.0, "incremental/slate": 0.0}
+    totals = {"incremental": 0.0, "cold": 0.0, "incremental/compiled": 0.0}
     events = 0
 
     def run_all():
@@ -103,11 +95,6 @@ def test_online_engine(benchmark):
             for mode in ("incremental", "cold"):
                 seconds, summary = _decision_seconds(stream, mode)
                 totals[mode] += seconds
-            # Micro-batched slate leg: same decisions, coalesced
-            # same-wakeup arrivals through one screen.
-            seconds, _ = _decision_seconds(
-                stream, "incremental", slate_window=SLATE_WINDOW)
-            totals["incremental/slate"] += seconds
             if HAS_NUMBA:
                 # Compiled-kernel tier column (with-numba CI leg only;
                 # decisions are identical, only the decision-path time
@@ -128,8 +115,6 @@ def test_online_engine(benchmark):
         totals["cold"], 4)
     benchmark.extra_info["events_per_sec(incremental)"] = round(
         events_per_sec, 1)
-    benchmark.extra_info["events_per_sec(incremental/slate)"] = round(
-        events / totals["incremental/slate"], 1)
     benchmark.extra_info["speedup(admission)"] = round(speedup, 3)
     if HAS_NUMBA:
         benchmark.extra_info["events_per_sec(incremental/compiled)"] = \

@@ -15,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_hotpath.py [target ...] \
         [--jobs N] [--cases K] [--top N] [--sort cumulative|tottime] \
-        [--kernel paired|reference|compiled|auto] [--batch N]
+        [--kernel paired|reference|compiled|auto]
 
 With no targets, all three are profiled.  Each target prints a
 top-``N`` table sorted by cumulative time (default), the right view
@@ -23,13 +23,6 @@ for "which layer is hot"; ``--sort tottime`` surfaces leaf kernels.
 ``--kernel`` selects the level-evaluation tier under profile (see
 ``docs/kernels.md``); the header prints both the requested value and
 the tier it resolves to, so saved profiles are attributable.
-
-``--batch N`` puts the ``online`` target on the micro-batched slate
-path: the coalescing window is derived from the stream's arrival
-rate so a slate averages ~``N`` members (``window = (N-1)/rate``).
-Other targets ignore the flag.  Decisions are identical either way
-(property-tested in ``tests/online/test_slate.py``); what changes is
-where the time goes, which the per-phase table makes visible.
 
 After the flat profile each target prints a **per-phase breakdown**:
 profiler rows bucketed into the four hot-path phases -- ``probe``
@@ -90,13 +83,7 @@ def run_admission(num_jobs: int, cases: int, kernel: str) -> None:
         opdca_admission(jobset, "eq10", test=test)
 
 
-#: Arrival rate of the profiled stream (events per unit stream time).
-#: ``--batch N`` derives the slate coalescing window from it.
-ONLINE_RATE = 1.3
-
-
-def run_online(num_jobs: int, cases: int, kernel: str,
-               slate_window: float = 0.0) -> None:
+def run_online(num_jobs: int, cases: int, kernel: str) -> None:
     from repro.online import (
         OnlineAdmissionEngine,
         StreamConfig,
@@ -105,13 +92,11 @@ def run_online(num_jobs: int, cases: int, kernel: str,
 
     for seed in range(cases):
         stream = generate_stream(
-            StreamConfig(horizon=150.0, rate=ONLINE_RATE,
-                         dwell_scale=2.0,
+            StreamConfig(horizon=150.0, rate=1.3, dwell_scale=2.0,
                          pool_size=min(num_jobs, 40)),
             seed=seed)
         OnlineAdmissionEngine(stream, mode="incremental",
-                              kernel=kernel,
-                              slate_window=slate_window).run()
+                              kernel=kernel).run()
 
 
 RUNNERS = {"opdca": run_opdca, "admission": run_admission,
@@ -171,8 +156,7 @@ def _phase_breakdown(stats: pstats.Stats) -> None:
 
 
 def profile_target(target: str, *, num_jobs: int, cases: int,
-                   top: int, sort: str, kernel: str,
-                   batch: int = 1) -> None:
+                   top: int, sort: str, kernel: str) -> None:
     from repro.core.kernels import resolve_kernel
 
     # Resolve once for the header: "auto" depends on the instance
@@ -180,24 +164,15 @@ def profile_target(target: str, *, num_jobs: int, cases: int,
     # profiler spins up, with the kernels module's clear error.
     effective = resolve_kernel(kernel, num_jobs=num_jobs)
     runner = RUNNERS[target]
-    extra = {}
-    if target == "online" and batch > 1:
-        # A Poisson stream at ``rate`` has mean arrival gap 1/rate, so
-        # a window of (N-1)/rate coalesces ~N consecutive arrivals
-        # into one slate on average.
-        extra["slate_window"] = (batch - 1) / ONLINE_RATE
-    runner(num_jobs, min(cases, 1), kernel, **extra)  # warm caches
+    runner(num_jobs, min(cases, 1), kernel)  # warm caches
     profiler = cProfile.Profile()
     profiler.enable()
-    runner(num_jobs, cases, kernel, **extra)
+    runner(num_jobs, cases, kernel)
     profiler.disable()
     kernel_note = (kernel if kernel == effective
                    else f"{kernel} -> {effective}")
-    batch_note = (f", slate~{batch} "
-                  f"(window={extra['slate_window']:.2f})"
-                  if extra else "")
     print(f"\n=== {target} (n={num_jobs}, cases={cases}, "
-          f"kernel={kernel_note}{batch_note}, sort={sort}) ===")
+          f"kernel={kernel_note}, sort={sort}) ===")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
     _phase_breakdown(stats)
@@ -226,17 +201,9 @@ def main(argv: "list[str] | None" = None) -> int:
                         choices=KERNEL_TIERS,
                         help="level-evaluation kernel tier under "
                              "profile (default: paired)")
-    parser.add_argument("--batch", type=int, default=1, metavar="N",
-                        help="target mean slate size for the online "
-                             "hot path; the coalescing window is "
-                             "derived as (N-1)/rate.  1 (default) "
-                             "profiles the sequential path; other "
-                             "targets ignore the flag")
     args = parser.parse_args(argv)
     if args.jobs <= 0 or args.cases <= 0 or args.top <= 0:
         parser.error("--jobs/--cases/--top must be positive")
-    if args.batch <= 0:
-        parser.error("--batch must be positive")
     targets = args.targets or list(TARGETS)
     unknown = [t for t in targets if t not in TARGETS]
     if unknown:
@@ -244,7 +211,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for target in targets:
         profile_target(target, num_jobs=args.jobs, cases=args.cases,
                        top=args.top, sort=args.sort,
-                       kernel=args.kernel, batch=args.batch)
+                       kernel=args.kernel)
     return 0
 
 

@@ -384,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--queue-timeout", type=float, default=2.0,
                     help="seconds an event may wait in the queue "
                          "before it is shed as stale")
-    sp.add_argument("--slate", action="store_true",
-                    help="serve queue-adjacent arrival bursts of a "
-                         "tenant through one coalesced decision "
-                         "(identical outcomes, higher throughput)")
     sp = serve_sub.add_parser(
         "bench",
         help="replay multi-tenant streams against a live (or "
@@ -486,8 +482,7 @@ def _run_serve_command(args: argparse.Namespace,
         service = AdmissionService(
             store=store, queue_limit=args.queue_limit,
             max_batch=args.max_batch,
-            queue_timeout=args.queue_timeout,
-            slate_events=args.slate)
+            queue_timeout=args.queue_timeout)
         if args.restore:
             if store is None:
                 parser.error("--restore needs --store "

@@ -77,11 +77,6 @@ def _cell_instruments():
         "latency": registry.histogram(
             "repro_decision_seconds",
             "Admission decision latency (controller + analysis)."),
-        "slate_size": registry.histogram(
-            "repro_decision_slate_size",
-            "Coalesced arrival-slate sizes seen by arrival_slate "
-            "(1 = an unbatched arrival).",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)),
         "cache_hits": registry.counter(
             "repro_kernel_cache_hits_total",
             "DelayAnalyzer memo hits inside admission decisions."),
@@ -429,64 +424,6 @@ class AdmissionCell:
             candidate=tuple(candidate), result=result,
             escalated=tuple(escalated),
             seconds=time.perf_counter() - start)
-
-    def arrival_slate(self, uids: "list[int]") -> "list[CellEvent]":
-        """Admit a slate of same-wakeup arrivals through one screen.
-
-        One all-or-nothing decision over ``admitted | slate`` settles
-        the whole slate when it passes: under the float-monotone
-        admission bounds, feasibility of the union implies feasibility
-        of every prefix ``admitted | slate[:k]`` (infeasibility is
-        antitone in the job set), so the sequential engine would have
-        accepted each arrival in turn with no evictions and finished
-        on exactly this candidate set -- the slate's single commit
-        lands on the identical admitted set, ranks and decision for
-        every member, with one controller run instead of ``len(uids)``.
-        When the screen fails, the slate falls back to the stock
-        sequential :meth:`arrival` per uid (bitwise identical to the
-        unbatched engine, evictions and retries included).
-
-        Returns one event per uid, in slate order.  On the batched
-        fast path, intermediate events carry ``result=None`` and
-        ``flips=0``; the final event carries the certified union
-        result and the *net* rank-flip count of the slate's single
-        commit.  That net count can undercount a sequential replay's
-        per-arrival flip sum (transient back-and-forth flips inside
-        the burst cancel) -- the one deliberate telemetry difference
-        of the micro-batched path; decisions, admitted sets and every
-        other metric are identical.
-        """
-        uids = list(uids)
-        self._obs["slate_size"].observe(len(uids))
-        if len(uids) == 1:
-            return [self.arrival(uids[0])]
-        if self._retry:
-            # Congestion gate: a non-empty retry queue means recent
-            # arrivals were already being rejected, so the whole-slate
-            # screen would almost certainly fail and its cost would be
-            # pure overhead on top of the sequential fallback it would
-            # trigger anyway.  Skipping it is a pure path choice
-            # between two decision-identical evaluations.
-            return [self.arrival(uid) for uid in uids]
-        start = time.perf_counter()
-        candidate = sorted(self._admitted | set(uids))
-        screen = self.decide(candidate, all_or_nothing=True)
-        if screen is None:
-            return [self.arrival(uid) for uid in uids]
-        evicted, flips = self._commit(candidate, screen)
-        assert not evicted  # all-or-nothing admissions never evict
-        seconds = time.perf_counter() - start
-        events = []
-        last = uids[-1]
-        for uid in uids:
-            self._count("accept")
-            events.append(CellEvent(
-                decision="accept", uid=uid,
-                candidate=tuple(candidate),
-                result=screen if uid == last else None,
-                flips=flips if uid == last else 0,
-                seconds=seconds if uid == last else 0.0))
-        return events
 
     def departure(self, uid: int) -> CellEvent:
         """Free ``uid``'s capacity (or expire/ignore an absent job).

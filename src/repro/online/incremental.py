@@ -62,7 +62,7 @@ from repro.core.system import JobSet
 
 #: Cross-event subset-analysis memo entries per analyzer (LRU).  Sized
 #: for one engine's working set: the rolling admitted-set tuple plus
-#: the retry-pass and slate-screen variants orbiting it.
+#: the retry-pass variants orbiting it.
 _SUBSET_MEMO_LIMIT = 32
 
 
@@ -173,10 +173,10 @@ class IncrementalAnalyzer:
         Memoised per index tuple (LRU, bounded): a
         :class:`SubsetAnalysis` is a pure function of the universe and
         the index set, so revisited candidate sets -- repeated arrival
-        patterns, retry passes, slate screens -- reuse the previously
-        built slice *with its analyzer memos warm* (contribution
-        matrices, band operands, eq5 blocking vectors, stage-major
-        gathers) instead of re-gathering every plane from scratch.
+        patterns, retry passes -- reuse the previously built slice
+        *with its analyzer memos warm* (contribution matrices, band
+        operands, eq5 blocking vectors, stage-major gathers) instead
+        of re-gathering every plane from scratch.
         Only these memos outlive a decision: every admission run
         seeds its bounds from an exact evaluation of its own.
         Entries naming a departed job are purged by :meth:`depart`,

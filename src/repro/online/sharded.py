@@ -288,17 +288,6 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         is the certificate's witness, which in incremental mode may
         differ from the cold controller's (the verdict cannot); cell
         entries carry the lowest-index trajectory.
-    slate_window:
-        Coalesce consecutive shard-local arrivals within this many
-        time units of each other into one micro-batched slate decision
-        (:meth:`~repro.online.cell.AdmissionCell.arrival_slate`);
-        departures always break a slate.  ``0.0`` (the default)
-        replays strictly one event at a time.  A replay knob,
-        deliberately not part of
-        :class:`~repro.online.engine.OnlineScenarioSpec` -- cached
-        scenario results always come from unbatched replays.  Decision
-        recording and epoch validation disable it (both need the
-        sequential per-arrival results).
     """
 
     def __init__(self, stream: OnlineStream, *,
@@ -308,8 +297,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
                  retry_limit: int = 16,
                  validate_every: int = 0,
                  kernel: str = "paired",
-                 record_decisions: bool = False,
-                 slate_window: float = 0.0) -> None:
+                 record_decisions: bool = False) -> None:
         # Validated here, not only in the cells: an empty stream builds
         # no cell at all.
         if mode not in CELL_MODES:
@@ -321,16 +309,12 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         if retry_limit < 0:
             raise ValueError(
                 f"retry_limit must be >= 0, got {retry_limit}")
-        if slate_window < 0.0:
-            raise ValueError(
-                f"slate_window must be >= 0, got {slate_window}")
         self._stream = stream
         self._policy = policy
         self._mode = mode
         self._kernel = kernel
         self._retry_limit = retry_limit
         self._validate_every = validate_every
-        self._slate_window = float(slate_window)
         self._universe: "JobSet | None" = (
             stream.universe() if stream.events else None)
         self._departure_of = {event.uid: event.departure
@@ -943,60 +927,6 @@ admit_all_or_nothing`, a witness search under the float-monotone
         if event.decision == "accept":
             self._maybe_validate(index)
 
-    def _local_arrival_slate(self, arrivals: "list[tuple[float, int]]",
-                             home: _Shard) -> None:
-        """Micro-batched same-home arrivals on a *visitor-free* shard.
-
-        Every slate member is shard-local (per-shard bounds exact) and
-        a local arrival cannot create cross-shard visitors, so ``home``
-        stays visitor-free for the whole slate and each accept's
-        re-certification is exactly the no-visitor fast path of
-        :meth:`_reconfirm_after` -- a standing-order block resync with
-        no global analysis.  The resync reads the cell's *current*
-        ordering and is idempotent, so one rebase after the slate
-        lands the same standing order as rebasing after every accept.
-        Event absorption otherwise mirrors :meth:`_local_arrival`,
-        replayed per member in slate order (a fallback slate can admit
-        then evict a member mid-slate; folding ``ever_admitted`` per
-        event keeps those transients, identical to sequential
-        processing).  Escalations are impossible here (every evictee of
-        a visitor-free cell is shard-local and parks in the cell's own
-        retry queue) but are absorbed defensively all the same.
-        """
-        uids = [uid for _, uid in arrivals]
-        events = home.cell.arrival_slate(
-            [home.local(uid) for uid in uids])
-        accepted = False
-        for (now, uid), event in zip(arrivals, events):
-            index = self._event_index
-            self._event_index += 1
-            self._seen.add(uid)
-            self._metrics.arrivals += 1
-            evicted = home.globalise(event.evicted)
-            if event.decision == "accept":
-                self._admitted.add(uid)
-                accepted = True
-            for g in evicted:
-                self._admitted.discard(g)
-                self._order_remove(g)
-            self._metrics.ever_admitted |= self._admitted
-            self._metrics.evictions += len(evicted)
-            self._metrics.rank_changes += event.flips
-            self._metrics.retry_drops += event.retry_drops
-            for local_uid in event.escalated:
-                g = int(home.members[local_uid])
-                if g != uid:
-                    for other in self._touched(g):
-                        if other.shard != home.shard:
-                            if other.cell.evict(other.local(g)):
-                                self._revocations += 1
-                                self._obs_revocations.inc()
-                self._enqueue_cross(g)
-            self._snapshot(index, now, "arrive", uid, event.decision,
-                           evicted, event.flips, event.seconds)
-        if accepted:
-            self._order_rebase_shard(home)
-
     # -- cross-shard arrivals (two-phase reservation) -----------------
 
     def _cross_arrival(self, index: int, now: float, uid: int,
@@ -1220,50 +1150,6 @@ admit_all_or_nothing`, a witness search under the float-monotone
             self._on_departure(index, now, uid)
         return self._metrics.records[before:]
 
-    def process_slate(self, arrivals: "list[tuple[float, int]]"
-                      ) -> "list[EventRecord]":
-        """Feed a coalesced ``(time, uid)`` arrival slate; the
-        multi-event counterpart of :meth:`process`.
-
-        The caller owns the coalescing policy (e.g. the serve
-        batcher's queue-adjacency grouping) -- this entry point does
-        not consult ``slate_window``.  The micro-batched path needs
-        time-sorted, distinct, not-yet-admitted members, no decision
-        recording or periodic validation, and every member shard-local
-        with one shared home shard hosting no cross-shard visitors
-        (the :meth:`_local_arrival_slate` soundness conditions);
-        anything else degrades to sequential :meth:`process` calls, so
-        the outcome is always identical to feeding the members one at
-        a time.  Returns one event record per member, in slate order.
-        """
-        arrivals = [(float(now), int(uid)) for now, uid in arrivals]
-        uids = [uid for _, uid in arrivals]
-        routing = self._routing
-        home: "_Shard | None" = None
-        slate_ok = (len(arrivals) > 1
-                    and not self._record_decisions
-                    and not self._validate_every
-                    and routing is not None
-                    and len(set(uids)) == len(uids)
-                    and not any(uid in self._admitted for uid in uids)
-                    and all(arrivals[k][0] <= arrivals[k + 1][0]
-                            for k in range(len(arrivals) - 1))
-                    and not any(routing.cross[uid] for uid in uids))
-        if slate_ok:
-            homes = {int(routing.home[uid]) for uid in uids}
-            if len(homes) == 1:
-                home = self._shards[homes.pop()]
-                slate_ok = not self._visitors_on(home)
-            else:
-                slate_ok = False
-        before = len(self._metrics.records)
-        if slate_ok and home is not None:
-            self._local_arrival_slate(arrivals, home)
-        else:
-            for now, uid in arrivals:
-                self.process(now, "arrive", uid)
-        return self._metrics.records[before:]
-
     def result(self) -> OnlineRunResult:
         """The run outcome over everything processed so far."""
         config = self._stream.config
@@ -1283,54 +1169,10 @@ admit_all_or_nothing`, a witness search under the float-monotone
             kernel=self._kernel)
 
     def run(self) -> OnlineRunResult:
-        """Process every event chronologically and return the result.
-
-        With ``slate_window > 0`` consecutive arrivals within the
-        window that share one home shard, are all shard-local, and
-        land on a shard hosting no cross-shard visitors are coalesced
-        through :meth:`_local_arrival_slate`; everything else (cross
-        jobs, departures, mixed-home runs, visitor-laden shards) takes
-        the stock per-event path.  Decision recording and periodic
-        validation are per-event features, so either disables
-        coalescing.
-        """
-        events = stream_events(self._stream)
-        if (self._slate_window <= 0.0 or self._record_decisions
-                or self._validate_every):
-            for now, kind, uid in events:
-                self.process(
-                    now,
-                    "arrive" if kind == EVENT_ARRIVE else "depart",
-                    uid)
-            return self.result()
-        routing = self._routing
-        total = len(events)
-        i = 0
-        while i < total:
-            now, kind, uid = events[i]
-            if kind != EVENT_ARRIVE:
-                self.process(now, "depart", uid)
-                i += 1
-                continue
-            if routing is None or routing.cross[uid]:
-                self.process(now, "arrive", uid)
-                i += 1
-                continue
-            home_id = int(routing.home[uid])
-            j = i + 1
-            while (j < total and events[j][1] == EVENT_ARRIVE
-                   and events[j][0] - now <= self._slate_window
-                   and not routing.cross[events[j][2]]
-                   and int(routing.home[events[j][2]]) == home_id):
-                j += 1
-            home = self._shards[home_id]
-            if j - i == 1 or self._visitors_on(home):
-                for now_, _, uid_ in events[i:j]:
-                    self.process(now_, "arrive", uid_)
-            else:
-                self._local_arrival_slate(
-                    [(t, u) for t, _, u in events[i:j]], home)
-            i = j
+        """Process every event chronologically and return the result."""
+        for now, kind, uid in stream_events(self._stream):
+            self.process(
+                now, "arrive" if kind == EVENT_ARRIVE else "depart", uid)
         return self.result()
 
 

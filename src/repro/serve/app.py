@@ -49,6 +49,15 @@ _STATUS_TEXT = {
 }
 
 
+class FramingError(ServeError):
+    """A request the server cannot frame (answered with ``status``,
+    then the connection is closed)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class Request:
     """One parsed HTTP request (handlers' view of the wire)."""
 
@@ -71,14 +80,8 @@ class AdmissionService:
     def __init__(self, *, store: "ResultStore | None" = None,
                  queue_limit: int = 1024, max_batch: int = 64,
                  queue_timeout: float = 2.0,
-                 max_tenants: int = 64,
-                 slate_events: bool = False) -> None:
+                 max_tenants: int = 64) -> None:
         self.tenants = TenantManager(max_tenants=max_tenants)
-        #: Opt-in micro-batched admit path: queue-adjacent arrivals of
-        #: one tenant are served by a single coalesced engine decision
-        #: (identical outcomes; default OFF so the stock per-event
-        #: path stays the baseline).
-        self.slate_events = bool(slate_events)
         self.batcher = EventBatcher(
             queue_limit=queue_limit, max_batch=max_batch,
             queue_timeout=queue_timeout)
@@ -123,25 +126,10 @@ class AdmissionService:
 
     async def process_event(self, tenant: Tenant, kind: str,
                             uid, now: float) -> dict:
-        """The hot path: one event through the batcher's queue.
-
-        With :attr:`slate_events` on, arrivals carry a per-tenant
-        slate key so the batcher can serve queue-adjacent bursts of
-        one tenant through a single coalesced decision; departures
-        stay keyless (they break slates, exactly as in the offline
-        engines' coalescing replay).
-        """
+        """The hot path: one event through the batcher's queue."""
         started = time.monotonic()
-        if self.slate_events and kind == "arrive":
-            future = self.batcher.submit(
-                lambda: tenant.process(kind, uid, now),
-                slate_key=(tenant.name, "arrive"),
-                slate_arg=(uid, now),
-                slate_work=tenant.process_slate)
-        else:
-            future = self.batcher.submit(
-                lambda: tenant.process(kind, uid, now))
-        payload = await future
+        payload = await self.batcher.submit(
+            lambda: tenant.process(kind, uid, now))
         elapsed = time.monotonic() - started
         self._busy_seconds += elapsed
         self.decision_latency.observe(elapsed)
@@ -198,7 +186,7 @@ class AdmissionService:
         try:
             method, target, _version = line.decode("ascii").split()
         except ValueError:
-            raise ServeError("malformed request line")
+            raise FramingError("malformed request line") from None
         headers = {}
         while True:
             raw = await reader.readline()
@@ -206,18 +194,21 @@ class AdmissionService:
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not declared.isdecimal():
+            raise FramingError(f"bad Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise ServeError(
-                f"request body too large ({length} bytes)")
+            raise FramingError(
+                f"request body too large ({length} bytes)", 413)
         body = None
         if length:
             raw_body = await reader.readexactly(length)
             try:
                 body = json.loads(raw_body)
-            except json.JSONDecodeError as error:
-                raise ServeError(
-                    f"request body is not valid JSON: {error}")
+            except ValueError as error:
+                raise FramingError(
+                    f"request body is not valid JSON: {error}") from None
         parsed = urllib.parse.urlsplit(target)
         query = {key: values[-1] for key, values in
                  urllib.parse.parse_qs(parsed.query).items()}
@@ -243,41 +234,48 @@ class AdmissionService:
                 request.trace_id, "internal-error", error=repr(error))
             return 500, {"error": f"internal error: {error!r}"}
 
+    @staticmethod
+    def _write_response(writer, status: int, payload, trace_id: str,
+                        *, keep_alive: bool = True) -> None:
+        if isinstance(payload, str):
+            # Pre-rendered text body (Prometheus exposition).
+            body = payload.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body = json.dumps(
+                payload, separators=(",", ":")).encode("utf-8")
+            content_type = "application/json"
+        headers = [
+            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            f"X-Trace-Id: {trace_id}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        ]
+        if status == 503:
+            headers.append(f"Retry-After: {RETRY_AFTER_SECONDS}")
+        writer.write(
+            "\r\n".join(headers).encode("ascii") + b"\r\n\r\n" + body)
+
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except (ServeError, asyncio.IncompleteReadError,
-                        UnicodeDecodeError):
+                except FramingError as error:
+                    self._write_response(
+                        writer, error.status, {"error": str(error)},
+                        self.traces.mint(), keep_alive=False)
+                    await writer.drain()
+                    break
+                except asyncio.IncompleteReadError:
                     break
                 if request is None:
                     break
                 status, payload = await self._dispatch(request)
                 self.requests_served += 1
-                if isinstance(payload, str):
-                    # Pre-rendered text body (Prometheus exposition).
-                    body = payload.encode("utf-8")
-                    content_type = ("text/plain; version=0.0.4; "
-                                    "charset=utf-8")
-                else:
-                    body = json.dumps(
-                        payload, separators=(",", ":")).encode("utf-8")
-                    content_type = "application/json"
-                headers = [
-                    f"HTTP/1.1 {status} "
-                    f"{_STATUS_TEXT.get(status, 'Unknown')}",
-                    f"Content-Type: {content_type}",
-                    f"Content-Length: {len(body)}",
-                    f"X-Trace-Id: {request.trace_id}",
-                    "Connection: keep-alive",
-                ]
-                if status == 503:
-                    headers.append(
-                        f"Retry-After: {RETRY_AFTER_SECONDS}")
-                writer.write(
-                    "\r\n".join(headers).encode("ascii")
-                    + b"\r\n\r\n" + body)
+                self._write_response(writer, status, payload,
+                                     request.trace_id)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -345,12 +343,11 @@ def run_app(*, host: str = "127.0.0.1", port: int = 8642,
             store: "ResultStore | None" = None,
             queue_limit: int = 1024, max_batch: int = 64,
             queue_timeout: float = 2.0,
-            snapshot_on_exit: bool = False, ready=None,
-            slate_events: bool = False) -> None:
+            snapshot_on_exit: bool = False, ready=None) -> None:
     """Blocking entry point of ``repro serve run``."""
     service = AdmissionService(
         store=store, queue_limit=queue_limit, max_batch=max_batch,
-        queue_timeout=queue_timeout, slate_events=slate_events)
+        queue_timeout=queue_timeout)
     asyncio.run(serve_forever(
         service, host, port, snapshot_on_exit=snapshot_on_exit,
         ready=ready))

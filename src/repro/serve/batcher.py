@@ -12,16 +12,6 @@ Single-consumer draining also *serialises* engine calls without locks:
 events of one tenant are processed in exactly arrival order, which is
 what makes served decisions bitwise-identical to an offline replay.
 
-Entries may additionally opt into *slate grouping* (see
-:meth:`EventBatcher.submit`): a run of queue-adjacent entries sharing
-one slate key -- in practice, arrivals of one tenant that piled up in
-the queue together -- is served by a single coalesced engine decision
-(:meth:`repro.serve.tenants.Tenant.process_slate`) instead of one
-decision per event.  Grouping never reorders anything: it only fuses
-events the consumer was about to process back-to-back anyway, and the
-slate decision path is property-tested identical to sequential
-processing, so served decisions stay bitwise-reproducible.
-
 Overload policy (load shedding, bounded memory):
 
 * queue full -> the request is shed immediately with HTTP 503 and a
@@ -66,11 +56,6 @@ class BatcherStats:
     failed: int = 0
     batches: int = 0
     max_batch_seen: int = 0
-    #: Slate-grouped drains (>= 2 queue-adjacent events with one
-    #: slate key served by one coalesced engine decision) and the
-    #: events they covered.
-    slates: int = 0
-    slate_events: int = 0
 
     @property
     def shed(self) -> int:
@@ -91,23 +76,16 @@ class BatcherStats:
             "failed": self.failed,
             "batches": self.batches,
             "max_batch_seen": self.max_batch_seen,
-            "slates": self.slates,
-            "slate_events": self.slate_events,
         }
 
 
 class _Entry:
-    __slots__ = ("work", "future", "enqueued_at", "slate_key",
-                 "slate_arg", "slate_work")
+    __slots__ = ("work", "future", "enqueued_at")
 
-    def __init__(self, work, future, enqueued_at, slate_key=None,
-                 slate_arg=None, slate_work=None):
+    def __init__(self, work, future, enqueued_at):
         self.work = work
         self.future = future
         self.enqueued_at = enqueued_at
-        self.slate_key = slate_key
-        self.slate_arg = slate_arg
-        self.slate_work = slate_work
 
 
 class EventBatcher:
@@ -157,23 +135,9 @@ class EventBatcher:
 
     # -- producer side -----------------------------------------------
 
-    def submit(self, work, *, slate_key=None, slate_arg=None,
-               slate_work=None) -> "asyncio.Future":
+    def submit(self, work) -> "asyncio.Future":
         """Enqueue a zero-argument callable; raises
-        :class:`OverloadError` immediately when the queue is full.
-
-        ``slate_key``/``slate_arg``/``slate_work`` opt the entry into
-        slate grouping: when the consumer reaches a run of >= 2
-        *queue-adjacent* entries sharing one hashable ``slate_key``,
-        it calls the run head's ``slate_work`` once with the run's
-        ``slate_arg`` list instead of each ``work``.  ``slate_work``
-        must return one entry per member, in order; a member entry
-        that is an :class:`Exception` instance resolves that member's
-        future exceptionally.  Non-adjacent or keyless entries run
-        their own ``work`` exactly as before -- grouping only ever
-        coalesces events that were already going to be processed
-        back-to-back, so the serialised event order is unchanged.
-        """
+        :class:`OverloadError` immediately when the queue is full."""
         if self._closed:
             raise OverloadError("service is shutting down")
         if len(self._queue) >= self.queue_limit:
@@ -181,50 +145,12 @@ class EventBatcher:
             raise OverloadError(
                 f"admission queue full ({self.queue_limit} pending)")
         future = asyncio.get_running_loop().create_future()
-        self._queue.append(_Entry(work, future, time.monotonic(),
-                                  slate_key, slate_arg, slate_work))
+        self._queue.append(_Entry(work, future, time.monotonic()))
         self.stats.enqueued += 1
         self._wakeup.set()
         return future
 
     # -- consumer side -----------------------------------------------
-
-    def _executable(self, entry: _Entry, now: float) -> bool:
-        """Shed/cancel filter shared by the single and slate paths."""
-        if entry.future.cancelled():
-            return False
-        if now - entry.enqueued_at > self.queue_timeout:
-            self.stats.shed_stale += 1
-            entry.future.set_exception(OverloadError(
-                "request timed out waiting in the admission "
-                "queue"))
-            return False
-        return True
-
-    def _run_slate(self, group: "list[_Entry]") -> None:
-        """Serve a key-sharing run through one coalesced call."""
-        head = group[0]
-        self.stats.slates += 1
-        self.stats.slate_events += len(group)
-        try:
-            results = head.slate_work(
-                [entry.slate_arg for entry in group])
-            if len(results) != len(group):
-                raise RuntimeError(
-                    f"slate work returned {len(results)} results "
-                    f"for {len(group)} members")
-        except Exception as error:  # noqa: BLE001
-            for entry in group:
-                self.stats.failed += 1
-                entry.future.set_exception(error)
-            return
-        for entry, result in zip(group, results):
-            if isinstance(result, Exception):
-                self.stats.failed += 1
-                entry.future.set_exception(result)
-            else:
-                entry.future.set_result(result)
-                self.stats.processed += 1
 
     async def _consume(self) -> None:
         while True:
@@ -239,19 +165,13 @@ class EventBatcher:
             while self._queue and drained < self.max_batch:
                 entry = self._queue.popleft()
                 drained += 1
-                if not self._executable(entry, now):
+                if entry.future.cancelled():
                     continue
-                group = [entry]
-                if entry.slate_key is not None:
-                    while (self._queue and drained < self.max_batch
-                           and self._queue[0].slate_key
-                           == entry.slate_key):
-                        peer = self._queue.popleft()
-                        drained += 1
-                        if self._executable(peer, now):
-                            group.append(peer)
-                if len(group) > 1:
-                    self._run_slate(group)
+                if now - entry.enqueued_at > self.queue_timeout:
+                    self.stats.shed_stale += 1
+                    entry.future.set_exception(OverloadError(
+                        "request timed out waiting in the admission "
+                        "queue"))
                     continue
                 try:
                     entry.future.set_result(entry.work())

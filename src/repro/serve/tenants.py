@@ -27,6 +27,7 @@ tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, fields
 
 from repro.core.exceptions import ModelError
@@ -207,6 +208,8 @@ class Tenant:
                 f"uid must be an integer in [0, {self.num_jobs}), "
                 f"got {uid!r}")
         now = float(now)
+        if not math.isfinite(now):
+            raise ServeError(f"time must be finite, got {now!r}")
         if now < self._last_time:
             raise ServeError(
                 f"events must be fed chronologically: time {now:g} "
@@ -216,49 +219,6 @@ class Tenant:
         self._last_time = now
         self.journal.append([kind, int(uid), now])
         return self._response(records)
-
-    def process_slate(self, members: "list[tuple[int, float]]"
-                      ) -> "list":
-        """Feed a coalesced slate of arrival events; the multi-event
-        counterpart of :meth:`process` behind the batcher's slate
-        grouping.  ``members`` is ``(uid, now)`` per event in queue
-        order.  Returns one entry per member -- the response payload,
-        or the exception that member's lone :meth:`process` call
-        raised (the batcher resolves each member's future with its
-        entry).  Slates that fail up-front validation (bad uid,
-        duplicate uid, out-of-order times) degrade to sequential
-        per-member processing, so engine state and the journal evolve
-        exactly as if the members had been fed one at a time -- which
-        is also why snapshot restores (journal replays through
-        :meth:`process`) reproduce slate-served state bit-for-bit.
-        """
-        valid = len({uid for uid, _ in members}) == len(members)
-        last = self._last_time
-        if valid:
-            for uid, now in members:
-                if not isinstance(uid, int) or \
-                        isinstance(uid, bool) or \
-                        not 0 <= uid < self.num_jobs or \
-                        float(now) < last:
-                    valid = False
-                    break
-                last = float(now)
-        if not valid or len(members) == 1:
-            out: list = []
-            for uid, now in members:
-                try:
-                    out.append(self.process("arrive", uid, now))
-                except ServeError as error:
-                    out.append(error)
-            return out
-        arrivals = [(float(now), int(uid)) for uid, now in members]
-        records = self.engine.process_slate(arrivals)
-        payloads = []
-        for k, (now, uid) in enumerate(arrivals):
-            self._last_time = now
-            self.journal.append(["arrive", uid, now])
-            payloads.append(self._response([records[k]]))
-        return payloads
 
     def _response(self, records: "list[EventRecord]") -> dict:
         head = records[0]

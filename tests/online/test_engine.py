@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import opdca_admission
+from repro.core.kernels import KERNEL_TIERS
 from repro.core.system import JobSet
 from repro.online.engine import (
     OnlineAdmissionEngine,
@@ -20,6 +21,7 @@ from repro.online.engine import (
     evaluate_online,
     run_online_scenario,
 )
+from repro.online.sharded import ShardedAdmissionEngine
 from repro.online.streams import StreamConfig, generate_stream
 
 
@@ -33,6 +35,24 @@ def _stream(seed=0, *, kind="poisson", horizon=120.0, rate=0.3,
 def _strip_mode(result: OnlineRunResult) -> dict:
     payload = result.deterministic_dict()
     payload.pop("mode")
+    return payload
+
+
+#: A congested operating point (cf. ``benchmarks/bench_online.py``):
+#: accept, reject, evict and retry all fire within the horizon.
+_CONGESTED = StreamConfig(horizon=90.0, rate=1.6, dwell_scale=2.0,
+                          pool_size=24)
+
+
+def _strip_certificate_paths(result: OnlineRunResult) -> dict:
+    """Deterministic payload minus the mode and the counters of which
+    certificate path (standing-order probe or full search) settled a
+    cross-shard check -- the one place incremental and cold runs may
+    legitimately differ."""
+    payload = _strip_mode(result)
+    sharding = payload["summary"]["sharding"]
+    sharding.pop("global_certifies")
+    sharding.pop("quick_certifies")
     return payload
 
 
@@ -73,11 +93,30 @@ class TestColdEquivalence:
             assert np.array_equal(result.delays, cold.delays,
                                   equal_nan=True)
 
-    def test_incremental_and_cold_engines_agree(self):
-        stream = _stream(3, rate=0.45, horizon=150.0)
-        warm = OnlineAdmissionEngine(stream, mode="incremental").run()
-        cold = OnlineAdmissionEngine(stream, mode="cold").run()
-        assert _strip_mode(warm) == _strip_mode(cold)
+    @pytest.mark.parametrize("shards", (1, 2))
+    @pytest.mark.parametrize("kernel", KERNEL_TIERS)
+    def test_incremental_and_cold_engines_agree(self, kernel, shards,
+                                                monkeypatch):
+        """Every kernel tier's incremental engine against the cold
+        controller on a congested stream (accept, reject, evict and
+        retry all fire).  ``compiled``/``auto`` run on the forced
+        pure-python fallback loops (arithmetic-identical to the jitted
+        primitives), so the test needs no optional dependency."""
+        if kernel in ("compiled", "auto"):
+            import repro.core.kernels as kernels
+
+            monkeypatch.setattr(kernels, "FORCE_FALLBACK", True)
+        stream = generate_stream(_CONGESTED, seed=2 + shards)
+        warm, cold = (
+            _strip_certificate_paths(ShardedAdmissionEngine(
+                stream, shards=shards, mode=mode, kernel=kernel).run())
+            for mode in ("incremental", "cold"))
+        summary = cold["summary"]
+        assert summary["acceptance_ratio"] < 1.0
+        assert summary["evictions"] and summary["retry_accepts"]
+        assert warm["final_admitted"] == cold["final_admitted"]
+        assert warm["records"] == cold["records"]
+        assert warm == cold
 
     def test_admitted_sets_always_schedulable(self):
         """Invariant: after every event, the admitted set passes the

@@ -34,7 +34,6 @@ _VARIANTS = {
     "base": {},
     "cold": {"mode": "cold"},
     "reference": {"kernel": "reference"},
-    "slate": {"slate_window": 0.5},
     "noretry": {"retry_limit": 0},
     "validate": {"validate_every": 2},
 }
@@ -47,8 +46,7 @@ def _cases() -> "dict[str, dict]":
             cases[f"{kind}-{name}"] = {
                 "stream": {"kind": kind, "seed": 3 + _KINDS.index(kind)},
                 "engine": engine}
-    for name, engine in (("base", {}), ("cold", {"mode": "cold"}),
-                         ("slate", {"slate_window": 0.5})):
+    for name, engine in (("base", {}), ("cold", {"mode": "cold"})):
         cases[f"edge-eq10-{name}"] = {
             "stream": {"kind": "poisson", "seed": 5,
                        "generator": "edge", "rate": 1.5,
@@ -89,12 +87,8 @@ def _result_of(result) -> "list | None":
 def run_digest(case: dict, workdir: Path) -> str:
     """Digest of one case's deterministic outcome and decision log."""
     stream = _stream(case["stream"], workdir)
-    engine_options = dict(case["engine"])
-    # Decision recording disables slates, so slate runs digest their
-    # result alone.
-    record = not engine_options.get("slate_window")
-    engine = OnlineAdmissionEngine(stream, record_decisions=record,
-                                   **engine_options)
+    engine = OnlineAdmissionEngine(stream, record_decisions=True,
+                                   **case["engine"])
     payload = engine.run().deterministic_dict()
     payload.pop("shards")
     payload["summary"].pop("sharding", None)
@@ -112,7 +106,7 @@ def _golden() -> "dict[str, str]":
 
 def test_golden_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
-    assert len(CASES) >= 24
+    assert len(CASES) >= 23
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

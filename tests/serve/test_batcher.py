@@ -124,112 +124,3 @@ def test_constructor_validation():
         EventBatcher(max_batch=0)
     with pytest.raises(ValueError):
         EventBatcher(queue_timeout=0)
-
-
-def test_slate_groups_adjacent_same_key_entries():
-    async def scenario():
-        batcher = EventBatcher()
-        calls = []
-
-        def slate_work(args):
-            calls.append(list(args))
-            return [arg * 10 for arg in args]
-
-        futures = [
-            batcher.submit(lambda: None, slate_key=("t", "arrive"),
-                           slate_arg=i, slate_work=slate_work)
-            for i in range(4)
-        ]
-        batcher.start()
-        results = await asyncio.gather(*futures)
-        await batcher.close()
-        return calls, results, batcher.stats
-
-    calls, results, stats = run(scenario())
-    # One coalesced call served the whole adjacent run, in order.
-    assert calls == [[0, 1, 2, 3]]
-    assert results == [0, 10, 20, 30]
-    assert stats.slates == 1
-    assert stats.slate_events == 4
-    assert stats.processed == 4
-
-
-def test_keyless_entry_breaks_the_slate_run():
-    async def scenario():
-        batcher = EventBatcher()
-        calls = []
-
-        def slate_work(args):
-            calls.append(list(args))
-            return list(args)
-
-        order = []
-        futures = [
-            batcher.submit(lambda: order.append("a1"),
-                           slate_key="k", slate_arg=1,
-                           slate_work=slate_work),
-            batcher.submit(lambda: order.append("a2"),
-                           slate_key="k", slate_arg=2,
-                           slate_work=slate_work),
-            # A keyless event (a departure) splits the run.
-            batcher.submit(lambda: order.append("depart")),
-            batcher.submit(lambda: order.append("a3"),
-                           slate_key="k", slate_arg=3,
-                           slate_work=slate_work),
-        ]
-        batcher.start()
-        await asyncio.gather(*futures)
-        await batcher.close()
-        return calls, order, batcher.stats
-
-    calls, order, stats = run(scenario())
-    # Only the adjacent pair slates; the trailing singleton runs its
-    # own work (a slate of one would be pure overhead).
-    assert calls == [[1, 2]]
-    assert order == ["depart", "a3"]
-    assert stats.slates == 1
-    assert stats.slate_events == 2
-    assert stats.processed == 4
-
-
-def test_slate_member_exception_fails_only_that_member():
-    async def scenario():
-        batcher = EventBatcher()
-
-        def slate_work(args):
-            return [ValueError(f"no room for {arg}")
-                    if arg == 2 else arg for arg in args]
-
-        futures = [
-            batcher.submit(lambda: None, slate_key="k", slate_arg=i,
-                           slate_work=slate_work)
-            for i in (1, 2, 3)
-        ]
-        batcher.start()
-        results = await asyncio.gather(*futures, return_exceptions=True)
-        await batcher.close()
-        return results, batcher.stats
-
-    results, stats = run(scenario())
-    assert results[0] == 1 and results[2] == 3
-    assert isinstance(results[1], ValueError)
-    assert stats.processed == 2
-    assert stats.failed == 1
-
-
-def test_slate_length_mismatch_fails_the_whole_group():
-    async def scenario():
-        batcher = EventBatcher()
-        futures = [
-            batcher.submit(lambda: None, slate_key="k", slate_arg=i,
-                           slate_work=lambda args: [])
-            for i in range(3)
-        ]
-        batcher.start()
-        results = await asyncio.gather(*futures, return_exceptions=True)
-        await batcher.close()
-        return results, batcher.stats
-
-    results, stats = run(scenario())
-    assert all(isinstance(r, RuntimeError) for r in results)
-    assert stats.failed == 3

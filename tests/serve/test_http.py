@@ -9,6 +9,7 @@ path is exercised exactly as deployed.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.online.engine import (
     stream_events,
 )
 from repro.online.streams import StreamConfig, generate_stream
-from repro.serve.app import AdmissionService
+from repro.serve.app import MAX_BODY_BYTES, AdmissionService
 from repro.serve.bench import PipelinedClient
 from repro.serve.tenants import Tenant, scenario_to_dict
 from repro.store import ResultStore
@@ -168,6 +169,63 @@ class TestSmoke:
         assert status == 503
         assert "queue full" in body["error"]
         assert headers.get("retry-after") == "1"
+
+
+class TestFraming:
+    """Requests the server cannot frame get a 4xx reply and a closed
+    connection, and never reach a tenant."""
+
+    @staticmethod
+    async def _raw_exchange(host, port, data: bytes):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(data)
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        headers = {}
+        while True:
+            raw = await reader.readline()
+            if raw in (b"\r\n", b"\n"):
+                break
+            name, _sep, value = raw.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = await reader.readexactly(int(headers["content-length"]))
+        trailing = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return status, headers, json.loads(body), trailing
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"POST /v1/admit HTTP/1.1\r\nContent-Length: 10\r\n\r\n"
+         b'{"tenant":', 400),
+        (b"POST /v1/admit HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+         400),
+        (b"POST /v1/admit HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         400),
+        (b"POST /v1/admit HTTP/1.1\r\nContent-Length: "
+         + str(MAX_BODY_BYTES + 1).encode("ascii") + b"\r\n\r\n", 413),
+        (b"GARBAGE\r\n", 400),
+    ], ids=["bad-json", "non-integer-length", "negative-length",
+            "oversized-body", "malformed-request-line"])
+    def test_framing_errors_reply_and_close(self, data, expected):
+        async def scenario(service, client):
+            await create_tenant(client)
+            path, payload = wire_events("t", SPEC)[0]
+            status, _ = await client.request("POST", path, payload)
+            assert status == 200
+            tenant = service.tenants.get("t")
+            journal = [list(entry) for entry in tenant.journal]
+            host, port = service._server.sockets[0].getsockname()[:2]
+            reply = await self._raw_exchange(host, port, data)
+            assert tenant.sequence == 1
+            assert tenant.journal == journal
+            return reply
+
+        status, headers, body, trailing = asyncio.run(
+            with_service(scenario))
+        assert status == expected
+        assert "error" in body
+        assert headers["connection"] == "close"
+        assert trailing == b""
 
 
 class TestSnapshotRestore:

@@ -132,6 +132,22 @@ class TestTenant:
         with pytest.raises(ServeError, match="chronologically"):
             tenant.process("arrive", 1, 4.0)
 
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    def test_rejects_non_finite_time(self, bad):
+        tenant = Tenant("t", spec())
+        tenant.process("arrive", 0, 1.0)
+        journal = [list(entry) for entry in tenant.journal]
+        records = tenant.records()
+        with pytest.raises(ServeError, match="finite"):
+            tenant.process("arrive", 1, float(bad))
+        assert tenant.journal == journal
+        assert tenant.records() == records
+        # The chronology guard still holds for later events.
+        with pytest.raises(ServeError, match="chronologically"):
+            tenant.process("arrive", 1, -5.0)
+        tenant.process("arrive", 1, 2.0)
+        assert tenant.sequence == 2
+
     def test_status_shape(self):
         tenant = Tenant("t", spec())
         tenant.process("arrive", 0, 1.0)
@@ -166,71 +182,3 @@ class TestTenantManager:
         manager.create("a", spec())
         with pytest.raises(ServeError, match="limit"):
             manager.create("b", spec())
-
-
-class TestTenantSlate:
-    """`Tenant.process_slate` behind the batcher's slate grouping."""
-
-    def _arrival_bursts(self, stream):
-        from repro.online.engine import EVENT_ARRIVE, stream_events
-
-        events = stream_events(stream)
-        i = 0
-        while i < len(events):
-            now, kind, uid = events[i]
-            if kind != EVENT_ARRIVE:
-                yield "depart", [(uid, now)]
-                i += 1
-                continue
-            j = i
-            while j < len(events) and events[j][1] == EVENT_ARRIVE:
-                j += 1
-            yield "arrive", [(u, t) for t, _, u in events[i:j]]
-            i = j
-
-    def test_slate_matches_sequential_processing(self):
-        s = spec()
-        sequential = Tenant("t", s)
-        slated = Tenant("t", s)
-        payloads_seq: list = []
-        payloads_slate: list = []
-        for kind, members in self._arrival_bursts(slated.stream):
-            if kind == "depart":
-                [(uid, now)] = members
-                sequential.process("depart", uid, now)
-                slated.process("depart", uid, now)
-                continue
-            for uid, now in members:
-                payloads_seq.append(
-                    sequential.process("arrive", uid, now))
-            payloads_slate.extend(slated.process_slate(members))
-        assert payloads_slate == payloads_seq
-        assert slated.journal == sequential.journal
-        assert (slated.result().final_admitted
-                == sequential.result().final_admitted)
-
-    def test_slate_journal_replays_bitwise(self):
-        s = spec()
-        live = Tenant("t", s)
-        for kind, members in self._arrival_bursts(live.stream):
-            if kind == "depart":
-                [(uid, now)] = members
-                live.process("depart", uid, now)
-            else:
-                live.process_slate(members)
-        clone = Tenant("t", s)
-        clone.replay(live.journal)
-        assert clone.records() == live.records()
-        assert (clone.result().final_admitted
-                == live.result().final_admitted)
-
-    def test_invalid_slate_degrades_to_sequential(self):
-        tenant = Tenant("t", spec())
-        # Out-of-order times: the slate screen is skipped and each
-        # member is processed alone, so the time regression surfaces
-        # as that member's ServeError entry, not a raised exception.
-        results = tenant.process_slate([(0, 5.0), (1, 4.0)])
-        assert isinstance(results[0], dict)
-        assert isinstance(results[1], ServeError)
-        # The valid member went through: state advanced as sequential.
-        assert tenant.journal == [["arrive", 0, 5.0]]
