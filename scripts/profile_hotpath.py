@@ -15,14 +15,14 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_hotpath.py [target ...] \
         [--jobs N] [--cases K] [--top N] [--sort cumulative|tottime] \
-        [--kernel paired|reference|compiled|auto]
+        [--kernel paired|reference|compiled]
 
 With no targets, all three are profiled.  Each target prints a
 top-``N`` table sorted by cumulative time (default), the right view
 for "which layer is hot"; ``--sort tottime`` surfaces leaf kernels.
 ``--kernel`` selects the level-evaluation tier under profile (see
-``docs/kernels.md``); the header prints both the requested value and
-the tier it resolves to, so saved profiles are attributable.
+``docs/kernels.md``); the header prints it, so saved profiles are
+attributable.
 
 After the flat profile each target prints a **per-phase breakdown**:
 profiler rows bucketed into the four hot-path phases -- ``probe``
@@ -114,13 +114,12 @@ PHASES: "dict[str, tuple[str, ...]]" = {
     "probe": (
         "delays_rows", "probe", "exact_rows", "level_probe",
         "level_bounds", "level_bound_single", "_level_paired",
-        "_level_compiled", "_paired_stage_sum", "delay_bound_level",
-        "delay_bounds_rows",
+        "_level_compiled", "_paired_stage_sum", "delay_bounds_rows",
     ),
     # Certified-band and priority-order surgery.
     "splice": (
-        "_drop_stage_maxima", "_splice_verified", "remove",
-        "remove_many", "_order_rebase_shard",
+        "_drop_stage_maxima", "remove", "remove_many",
+        "_order_rebase_shard",
     ),
     # Departure path: memo and segment-cache eviction.
     "cache-invalidate": (
@@ -159,20 +158,17 @@ def profile_target(target: str, *, num_jobs: int, cases: int,
                    top: int, sort: str, kernel: str) -> None:
     from repro.core.kernels import resolve_kernel
 
-    # Resolve once for the header: "auto" depends on the instance
-    # size, and an unavailable compiled tier should fail before the
-    # profiler spins up, with the kernels module's clear error.
-    effective = resolve_kernel(kernel, num_jobs=num_jobs)
+    # An unavailable compiled tier should fail before the profiler
+    # spins up, with the kernels module's clear error.
+    resolve_kernel(kernel)
     runner = RUNNERS[target]
     runner(num_jobs, min(cases, 1), kernel)  # warm caches
     profiler = cProfile.Profile()
     profiler.enable()
     runner(num_jobs, cases, kernel)
     profiler.disable()
-    kernel_note = (kernel if kernel == effective
-                   else f"{kernel} -> {effective}")
     print(f"\n=== {target} (n={num_jobs}, cases={cases}, "
-          f"kernel={kernel_note}, sort={sort}) ===")
+          f"kernel={kernel}, sort={sort}) ===")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
     _phase_breakdown(stats)

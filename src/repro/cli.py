@@ -211,11 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="paired", choices=KERNEL_TIERS,
                    help="level-evaluation kernel: 'paired' "
                         "(vectorised pairwise-contribution cache, the "
-                        "default), 'reference' (broadcast path), "
+                        "default), 'reference' (broadcast path) or "
                         "'compiled' (numba-jitted loops; needs the "
-                        "optional numba dependency) or 'auto' "
-                        "(fastest safe tier for the instance size); "
-                        "see docs/kernels.md")
+                        "optional numba dependency); see "
+                        "docs/kernels.md")
     add_trace_option(p)
 
     p = sub.add_parser(
@@ -261,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level-evaluation kernel of the admission "
                         "analyzers: 'paired' (vectorised pairwise-"
                         "contribution cache, the default), "
-                        "'reference' (broadcast path), 'compiled' "
+                        "'reference' (broadcast path) or 'compiled' "
                         "(numba-jitted loops; needs the optional "
-                        "numba dependency) or 'auto' (fastest safe "
-                        "tier per instance size); decisions are "
+                        "numba dependency); decisions are "
                         "identical under every tier")
     p.add_argument("--shards", type=positive_int, default=1,
                    help="resource shards: 1 runs one admission "

@@ -80,14 +80,12 @@ on broadcast rows), so its values are bitwise identical for every
 candidate row (jobs in ``unassigned & active``); ``kernel="reference"``
 keeps the tensor path selectable for equivalence testing, and analyzers
 built with ``window_filter=False`` always use it (the contribution
-tensors bake the window filter in).  Two further tiers ride the same
+tensors bake the window filter in).  A third tier rides the same
 premasked operands: ``kernel="compiled"`` delegates the masked
 reductions to the (optionally numba-jitted) loop primitives of
 :mod:`repro.core.kernels.compiled`, equivalent to the reference within
-``1e-9`` relative tolerance, and ``kernel="auto"`` resolves to the
-fastest safe tier for the instance size at construction.  The full
-tier matrix, equivalence contracts and dispatch rules live in
-``docs/kernels.md``.
+``1e-9`` relative tolerance.  The full tier matrix and equivalence
+contracts live in ``docs/kernels.md``.
 
 Online (streaming) support
 --------------------------
@@ -216,10 +214,9 @@ class DelayAnalyzer:
         ``"compiled"`` runs the (optionally numba-jitted) loop
         primitives of :mod:`repro.core.kernels` and raises
         :class:`~repro.core.kernels.CompiledKernelUnavailable` when
-        numba is absent; ``"auto"`` resolves to the fastest safe tier
-        for the instance size (silently ``"paired"`` without numba).
-        Resolution happens once, at construction -- :attr:`kernel` is
-        the effective tier, :attr:`requested_kernel` the input.
+        numba is absent.  Analyzers built with ``window_filter=False``
+        always run on ``"reference"`` -- :attr:`kernel` is the
+        effective tier, :attr:`requested_kernel` the input.
     """
 
     def __init__(self, jobset: JobSet, *,
@@ -240,11 +237,9 @@ class DelayAnalyzer:
         self._self_coefficient = self_coefficient
         self._window_filter = window_filter
         self._requested_kernel = kernel
-        #: Resolved once: "auto" picks a tier for this instance size,
-        #: and unfiltered analyzers stay on the tensor path (the
+        #: Unfiltered analyzers stay on the tensor path (the
         #: contribution tensors bake the window filter in).
-        self._kernel = resolve_kernel(
-            kernel, num_jobs=jobset.num_jobs, window_filter=window_filter)
+        self._kernel = resolve_kernel(kernel, window_filter=window_filter)
         self._n = jobset.num_jobs
         self._num_stages = jobset.num_stages
         self._eye = np.eye(self._n, dtype=bool)
@@ -821,96 +816,6 @@ class DelayAnalyzer:
             delays = np.where(active[rows], delays, np.nan)
         return delays
 
-    def delay_bound_level(self, i: int, higher_mask: np.ndarray,
-                          lower_mask: np.ndarray | None = None, *,
-                          equation: str = "eq6",
-                          active: np.ndarray | None = None) -> float:
-        """Fused single-candidate probe of one Audsley level.
-
-        Evaluates the chosen bound for job ``i`` against the 1-d
-        candidate masks ``higher_mask``/``lower_mask`` -- bitwise
-        identical to
-        ``delay_bounds_rows([i], higher_mask[None, :], ...)[0]``
-        (every reduction runs over the same length-``n`` operands, so
-        numpy's pairwise summation groups identically) -- but with a
-        fraction of the kernel launches.  This is the hot probe of the
-        online engine's lazy admission scan, where the typical level
-        places its very first candidate.
-        """
-        if equation not in ALL_EQUATIONS:
-            raise ValueError(f"unknown equation {equation!r}; "
-                             f"expected one of {ALL_EQUATIONS}")
-        lower_aware = equation in LOWER_AWARE_EQUATIONS
-        if lower_aware and lower_mask is None:
-            raise ValueError(f"{equation} needs the lower-priority set")
-        active = self._normalize_active(active)
-        if active is not None and not active[i]:
-            return float("nan")
-        # The self-excluded, window-filtered, active-restricted base is
-        # shared by every mask of this (i, active) context and memoised
-        # on the analyzer, so repeated probes of the same candidate
-        # across Audsley levels pay for it once.
-        base = self._interference_base(i, active)
-
-        def level_mask(relation: np.ndarray) -> np.ndarray:
-            return np.asarray(relation, dtype=bool) & base
-
-        cache = self._cache
-        h = level_mask(higher_mask)
-        q = h | self._eye[i]
-        last = self._num_stages - 1
-
-        def stage_additive(mask: np.ndarray, per_pair: np.ndarray,
-                           stop: int) -> float:
-            masked = np.where(mask[:, None], per_pair, 0.0)
-            return float(masked.max(axis=0)[:stop].sum())
-
-        if equation in ("eq6", "eq10"):
-            job_additive = float((cache.W[i] * h).sum())
-            job_additive += (float(cache.W[i, i])
-                             if self._self_coefficient == "refined"
-                             else float(self._batch_self_term(equation)[i]))
-            if equation == "eq6":
-                return job_additive + stage_additive(q, cache.ep[i], last)
-            if self._num_stages != 3:
-                raise ModelError(
-                    f"eq10 models the 3-stage edge pipeline, "
-                    f"system has {self._num_stages} stages")
-            low = level_mask(lower_mask)
-            ep = cache.ep[i]
-            uplink = float(np.where(q, ep[:, 0], 0.0).max())
-            server = float(np.where(q, ep[:, 1], 0.0).max())
-            downlink = float(np.where(low, ep[:, 2], 0.0).max())
-            return job_additive + uplink + server + downlink
-        if equation in ("eq4", "eq5"):
-            job_additive = float((cache.m[i] * cache.et1[i] * h).sum())
-            job_additive += float(self._batch_self_term("eq4")[i])
-            # The eq5 blocking set is priority-independent: it *is*
-            # the memoised base mask (do not mutate).
-            blocking_mask = (level_mask(lower_mask) if equation == "eq4"
-                             else base)
-            return (job_additive
-                    + stage_additive(q, cache.ep[i], last)
-                    + stage_additive(blocking_mask, cache.ep[i],
-                                     self._num_stages))
-        if equation == "eq3":
-            job_additive = float(
-                (2.0 * cache.m[i] * cache.et1[i] * h).sum())
-            job_additive += float(self._batch_self_term("eq3")[i])
-            return job_additive + stage_additive(q, cache.ep[i], last)
-        # Single-resource bounds (eq1/eq2) on raw processing times.
-        self._require_single_resource(equation)
-        raw = self._jobset.P
-        job_additive = float((cache.t1 * q).sum())
-        if equation == "eq1":
-            arrivals = self._jobset.A
-            arrive_after = h & (arrivals > arrivals[i])
-            job_additive += float((cache.t2 * arrive_after).sum())
-            return job_additive + stage_additive(q, raw, last)
-        low = level_mask(lower_mask)
-        return (job_additive + stage_additive(q, raw, last)
-                + stage_additive(low, raw, self._num_stages))
-
     # ------------------------------------------------------------------
     # Level evaluation (the Audsley/admission hot path)
     # ------------------------------------------------------------------
@@ -922,8 +827,8 @@ class DelayAnalyzer:
 
     @property
     def requested_kernel(self) -> str:
-        """The kernel requested at construction, before ``auto`` and
-        window-filter resolution (see :attr:`kernel`)."""
+        """The kernel requested at construction, before window-filter
+        resolution (see :attr:`kernel`)."""
         return self._requested_kernel
 
     def level_bounds(self, unassigned: np.ndarray,

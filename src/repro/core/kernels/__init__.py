@@ -1,8 +1,8 @@
 """Kernel tier registry for the level-evaluation hot path.
 
 :class:`repro.core.dca.DelayAnalyzer` evaluates every Audsley /
-admission level through one of three interchangeable kernels, plus a
-size-based dispatcher (see ``docs/kernels.md`` for the full matrix):
+admission level through one of three interchangeable kernels (see
+``docs/kernels.md`` for the full matrix):
 
 ``reference``
     The broadcast tensor path (``_batch_dispatch``): per-level
@@ -22,10 +22,6 @@ size-based dispatcher (see ``docs/kernels.md`` for the full matrix):
     slowdowns are worse than a clear error.  Tests force the fallback
     path through :data:`FORCE_FALLBACK` to property-check equivalence
     without numba installed.
-``auto``
-    Resolves to the fastest safe tier for the instance size at
-    analyzer construction (:func:`auto_tier`); degrades silently to
-    ``paired`` when the compiled tier is unavailable.
 
 This package is dependency-free within ``repro`` (it must not import
 :mod:`repro.core.dca`, which imports it).
@@ -37,31 +33,21 @@ import os
 
 from repro.core.kernels import compiled
 from repro.core.kernels.compiled import HAS_NUMBA
-from repro.core.kernels.dispatch import (
-    AUTO_COMPILED_MIN_ACTIVE,
-    AUTO_COMPILED_MIN_JOBS,
-    pick_tier,
-)
 
 __all__ = [
-    "AUTO_COMPILED_MIN_ACTIVE",
-    "AUTO_COMPILED_MIN_JOBS",
     "CompiledKernelUnavailable",
     "FORCE_FALLBACK",
     "HAS_NUMBA",
     "KERNEL_TIERS",
-    "auto_tier",
-    "auto_tier_online",
     "compiled",
     "compiled_available",
-    "pick_tier",
     "resolve_kernel",
 ]
 
 #: Every kernel value accepted by ``DelayAnalyzer(kernel=...)``, the
 #: CLI ``--kernel`` flags, the campaign ``kernel`` knob and the online
 #: scenario specs.  The first entry is the default everywhere.
-KERNEL_TIERS = ("paired", "reference", "compiled", "auto")
+KERNEL_TIERS = ("paired", "reference", "compiled")
 
 #: Pretend the compiled tier is available even without numba, running
 #: its pure-python fallback loops.  Test-only: the fallback is
@@ -76,8 +62,8 @@ FORCE_FALLBACK = os.environ.get("REPRO_KERNEL_FORCE_FALLBACK", "") not in (
 class CompiledKernelUnavailable(RuntimeError):
     """``kernel="compiled"`` was requested but numba is not installed.
 
-    Use ``kernel="auto"`` to fall back to the paired kernel silently,
-    or install the optional ``numba`` dependency.
+    Install the optional ``numba`` dependency, or use
+    ``kernel="paired"`` (the default).
     """
 
 
@@ -87,29 +73,7 @@ def compiled_available() -> bool:
     return HAS_NUMBA or FORCE_FALLBACK
 
 
-def auto_tier(num_jobs: int) -> str:
-    """The tier ``kernel="auto"`` resolves to for ``num_jobs`` jobs."""
-    return pick_tier(num_jobs, compiled_ok=compiled_available())
-
-
-def auto_tier_online(num_active: int) -> str:
-    """The tier ``kernel="auto"`` resolves to for one *online decision*
-    over ``num_active`` live jobs.
-
-    The online engines re-resolve ``auto`` per decision on the active
-    count instead of pinning one tier for the universe size at
-    construction: per-event candidate sets are small early in a stream
-    and grow towards the pool size, and the online crossover
-    (:data:`~repro.core.kernels.dispatch.AUTO_COMPILED_MIN_ACTIVE`)
-    sits below the batch one because the fused compiled frontier probe
-    amortises its dispatch overhead faster than a whole batch sweep.
-    """
-    return pick_tier(num_active, compiled_ok=compiled_available(),
-                     context="online")
-
-
-def resolve_kernel(requested: str, *, num_jobs: int,
-                   window_filter: bool = True) -> str:
+def resolve_kernel(requested: str, *, window_filter: bool = True) -> str:
     """Map a requested kernel value to the effective evaluation tier.
 
     * unknown values raise ``ValueError`` (message names the valid
@@ -120,8 +84,7 @@ def resolve_kernel(requested: str, *, num_jobs: int,
     * ``window_filter=False`` resolves everything to ``"reference"``:
       the premasked contribution tensors bake the window-overlap
       filter in, so only the tensor path can serve unfiltered
-      analyzers;
-    * ``"auto"`` picks :func:`auto_tier` for the instance size.
+      analyzers.
     """
     if requested not in KERNEL_TIERS:
         raise ValueError(
@@ -130,10 +93,7 @@ def resolve_kernel(requested: str, *, num_jobs: int,
         raise CompiledKernelUnavailable(
             "kernel='compiled' needs the optional numba dependency, "
             "which is not installed; install numba, or use "
-            "kernel='auto' to fall back to the paired kernel "
-            "automatically")
+            "kernel='paired' (the default)")
     if not window_filter:
         return "reference"
-    if requested == "auto":
-        return auto_tier(num_jobs)
     return requested

@@ -144,18 +144,6 @@ class SDCA:
     # Batched evaluation (vectorised fast paths for OPA/admission)
     # ------------------------------------------------------------------
 
-    def delays_all(self, higher_of: np.ndarray,
-                   lower_of: np.ndarray | None = None, *,
-                   active: np.ndarray | None = None) -> np.ndarray:
-        """Delay bounds of every job from ``(n, n)`` relation matrices
-        in one vectorised call (see ``DelayAnalyzer.delay_bounds_all``).
-        """
-        if self.uses_lower_set and lower_of is None:
-            n = self._jobset.num_jobs
-            lower_of = np.zeros((n, n), dtype=bool)
-        return self._analyzer.delay_bounds_all(
-            higher_of, lower_of, equation=self._equation, active=active)
-
     def level_delays(self, unassigned: np.ndarray,
                      assigned_lower: np.ndarray | None = None, *,
                      active: np.ndarray | None = None,

@@ -52,7 +52,10 @@ __all__ = [
 #: v5: cold-mode all-or-nothing checks pass a job on
 #: ``Delta - D <= 1e-9``, like every other admission path (they used
 #: OPDCA's ``Delta <= D + 1e-9``).
-ONLINE_CALL_KEY = "online/run@v5"
+#: v6: the sharded engine lost its splice fast path and certificate
+#: memo, so sharded summaries' certificate counters moved (verdicts
+#: did not).
+ONLINE_CALL_KEY = "online/run@v6"
 
 
 @dataclass(frozen=True)

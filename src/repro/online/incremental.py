@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.core.admission import AdmissionResult, opdca_admission
 from repro.core.dca import FLOAT_MONOTONE_EQUATIONS, DelayAnalyzer
-from repro.core.kernels import auto_tier_online
 from repro.core.opa import audsley_frontier
 from repro.core.schedulability import SDCA, Policy, resolve_equation
 from repro.core.segments import SegmentCache
@@ -182,12 +181,6 @@ class IncrementalAnalyzer:
         Entries naming a departed job are purged by :meth:`depart`,
         mirroring the universe analyzer's ``invalidate_job``
         discipline.
-
-        ``kernel="auto"`` is re-resolved here, per decision, on the
-        *active* count (:func:`repro.core.kernels.auto_tier_online`):
-        per-event candidate sets are small early in a stream, and the
-        batch crossover tuned for whole-universe sweeps overshoots
-        them.
         """
         key = tuple(sorted(int(i) for i in indices))
         hit = self._subset_memo.get(key)
@@ -198,10 +191,7 @@ class IncrementalAnalyzer:
         idx = np.asarray(key, dtype=np.int64)
         jobset = self._universe.restrict(idx)
         cache = self._cache.restrict(jobset, idx)
-        kernel = self._kernel
-        if kernel == "auto":
-            kernel = auto_tier_online(int(idx.size))
-        analyzer = DelayAnalyzer(jobset, cache=cache, kernel=kernel)
+        analyzer = DelayAnalyzer(jobset, cache=cache, kernel=self._kernel)
         test = SDCA(jobset, self._policy, analyzer=analyzer)
         analysis = SubsetAnalysis(jobset=jobset, test=test, indices=idx)
         while len(self._subset_memo) >= _SUBSET_MEMO_LIMIT:
@@ -266,8 +256,8 @@ def incremental_admission(jobset: JobSet, test: SDCA) -> AdmissionResult:
       ``discard=True`` over an excess adapter (:class:`_ExcessLevels`):
       only the candidates below the carried feasible frontier are
       evaluated, the frontier placement is free under float-monotone
-      bounds and one fused
-      :meth:`~repro.core.dca.DelayAnalyzer.delay_bound_level` probe
+      bounds and one
+      :meth:`~repro.core.dca.DelayAnalyzer.level_bound_single` probe
       for ``eq10``, and a level with no feasible candidate is
       evaluated in full before its worst offender is discarded.
 
@@ -356,7 +346,7 @@ class _ExcessLevels:
 
     def probe(self, i: int, unassigned: np.ndarray,
               assigned_lower: np.ndarray) -> float:
-        bound = self._analyzer.delay_bound_level(
+        bound = self._analyzer.level_bound_single(
             i, unassigned, assigned_lower if self._lower_aware else None,
             equation=self._equation, active=self.active)
         return float(bound) - float(self._deadlines[i])

@@ -132,17 +132,11 @@ from repro.core.schedulability import (
 )
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
-from repro.online.cell import (
-    CELL_KERNELS,
-    CELL_MODES,
-    DECISION_MEMO_LIMIT,
-    AdmissionCell,
-)
+from repro.online.cell import CELL_KERNELS, CELL_MODES, AdmissionCell
 from repro.online.incremental import (
     IncrementalAnalyzer,
     admit_all_or_nothing,
     cold_analysis,
-    result_delays,
 )
 from repro.online.metrics import (
     EventRecord,
@@ -346,8 +340,6 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         #: Whole-universe certificate state (lazy: shard-local traffic
         #: never builds or touches it).
         self._global_inc: "IncrementalAnalyzer | None" = None
-        self._global_memo: "dict[tuple, AdmissionResult | None] | None" = (
-            {} if mode == "incremental" else None)
         #: Standing certified priority ordering (highest first) of the
         #: whole admitted set: the constructive witness behind the
         #: one-bound fast path (:meth:`_quick_certify`).  Maintained
@@ -607,70 +599,6 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         return SDCA(self._universe, self._policy,
                     analyzer=self._global_analyzer().analyzer)
 
-    #: Splice positions tried above the bottom before falling back to
-    #: the full Audsley search (each rung costs a handful of single
-    #: bound evaluations; a full search costs a whole-universe event).
-    _SPLICE_RUNGS = 4
-
-    def _splice_verified(self, home: _Shard, uid: int) -> bool:
-        """Second fast path for committing local ``uid`` onto a
-        visitor-hosting shard: climb the standing ordering bottom-up,
-        splicing ``uid`` just above the ``k`` lowest-positioned home
-        members (``k = 1..{_SPLICE_RUNGS}``) and verifying only what a
-        splice can actually disturb.
-
-        Jobs above the splice point keep their higher-priority sets.
-        Jobs below it gain exactly ``uid`` -- a bit-exact no-op for
-        every job sharing no resource with it (shard-local footprints
-        make that the vast majority), so only ``uid`` itself and the
-        resource-sharing jobs below the splice need fresh bound
-        evaluations.  Climbing helps because ``uid``'s own bound is
-        monotone in the jobs above it: each rung strictly shrinks its
-        interferer set relative to the (already failed) bottom-append
-        probe.  Any rung where every evaluation passes exhibits a
-        feasible whole-universe assignment; if all rungs fail the
-        caller falls back to the full Audsley search, so accept/reject
-        decisions are identical either way.
-        """
-        order = self._order
-        if order is None:
-            return False
-        start = time.perf_counter()
-        try:
-            home_pos = [i for i, u in enumerate(order)
-                        if u in home.local_of]
-            test = self._universe_test()
-            n = self._universe.num_jobs
-            R = np.asarray(self._universe.R)
-            active = np.zeros(n, dtype=bool)
-            active[sorted(self._admitted)] = True
-            for k in range(1, self._SPLICE_RUNGS + 1):
-                if k > len(home_pos):
-                    return False
-                splice = home_pos[-k]
-                moved = order[:splice] + [uid] + order[splice:]
-                higher = np.zeros(n, dtype=bool)
-                higher[order[:splice]] = True
-                if not test(uid, higher, active=active):
-                    continue  # climb: fewer interferers next rung
-                disturbed = [u for u in order[splice:]
-                             if bool((R[u] == R[uid]).any())]
-                ok = True
-                for job in disturbed:
-                    higher = np.zeros(n, dtype=bool)
-                    higher[moved[:moved.index(job)]] = True
-                    if not test(job, higher, active=active):
-                        ok = False
-                        break
-                if ok:
-                    self._order = moved
-                    return True
-            return False
-        finally:
-            self._certify_seconds += time.perf_counter() - start
-            self._quick_certifies += 1
-            self._obs_certify["quick"].inc()
-
     def _quick_certify(self, uid: int) -> bool:
         """Constructive one-bound extension of the standing
         certificate: is the certified ordering still feasible with
@@ -762,35 +690,16 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         feasible assignment (:func:`~repro.online.incremental.\
 admit_all_or_nothing`, a witness search under the float-monotone
         gate), so a fit's ordering may differ from the cold
-        controller's; the verdict is identical.  Outcomes are
-        memoised on the exact candidate tuple (incremental mode),
-        mirroring the cells' decision memo.
+        controller's; the verdict is identical.
         """
         start = time.perf_counter()
         try:
-            if self._global_memo is not None and \
-                    candidate in self._global_memo:
-                return self._global_memo[candidate]
             if self._mode == "cold":
                 analysis = cold_analysis(self._universe, candidate,
                                          self._policy)
             else:
                 analysis = self._global_analyzer().subset(candidate)
-            result = admit_all_or_nothing(analysis, mode=self._mode)
-            if self._global_memo is not None:
-                if result is not None and self._mode == "incremental":
-                    # Same thin-rebuilder swap as the cells' decision
-                    # memo: don't let parked certificates pin their
-                    # per-event subset analyses.
-                    inc = self._global_analyzer()
-                    result.rebind_delays(
-                        lambda: result_delays(
-                            inc.subset(list(candidate)), result))
-                if len(self._global_memo) >= DECISION_MEMO_LIMIT:
-                    self._global_memo.pop(
-                        next(iter(self._global_memo)))
-                self._global_memo[candidate] = result
-            return result
+            return admit_all_or_nothing(analysis, mode=self._mode)
         finally:
             self._certify_seconds += time.perf_counter() - start
             self._certify_count += 1
@@ -831,8 +740,7 @@ admit_all_or_nothing`, a witness search under the float-monotone
             self._order_rebase_shard(home)
             return [], 0.0
         start = time.perf_counter()
-        if self._quick_certify(uid) or \
-                self._splice_verified(home, uid):
+        if self._quick_certify(uid):
             return [], time.perf_counter() - start
         revoked: list[int] = []
         while True:

@@ -42,6 +42,10 @@ MAX_BODY_BYTES = 1 << 20
 #: ``Retry-After`` seconds hinted on 503 responses.
 RETRY_AFTER_SECONDS = 1
 
+#: Longest a connection closed on a framing error keeps discarding
+#: what its client still sends, seconds.
+LINGER_SECONDS = 1.0
+
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -179,8 +183,17 @@ class AdmissionService:
 
     # -- HTTP plumbing ----------------------------------------------
 
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:
+            # The stream reader's line limit (64 KiB) was exceeded.
+            raise FramingError("request or header line too long") \
+                from None
+
     async def _read_request(self, reader) -> "Request | None":
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line:
             return None
         try:
@@ -189,7 +202,7 @@ class AdmissionService:
             raise FramingError("malformed request line") from None
         headers = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
@@ -206,7 +219,7 @@ class AdmissionService:
             raw_body = await reader.readexactly(length)
             try:
                 body = json.loads(raw_body)
-            except ValueError as error:
+            except (ValueError, RecursionError) as error:
                 raise FramingError(
                     f"request body is not valid JSON: {error}") from None
         parsed = urllib.parse.urlsplit(target)
@@ -257,6 +270,23 @@ class AdmissionService:
         writer.write(
             "\r\n".join(headers).encode("ascii") + b"\r\n\r\n" + body)
 
+    @staticmethod
+    async def _linger(reader, writer) -> None:
+        """Half-close, then discard the client's remaining input until
+        it closes or :data:`LINGER_SECONDS` pass.  Closing a socket
+        with unread input resets the connection, which can destroy the
+        error reply before the client has read it."""
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_SECONDS)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
+
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
@@ -267,6 +297,7 @@ class AdmissionService:
                         writer, error.status, {"error": str(error)},
                         self.traces.mint(), keep_alive=False)
                     await writer.drain()
+                    await self._linger(reader, writer)
                     break
                 except asyncio.IncompleteReadError:
                     break

@@ -110,6 +110,9 @@ async def handle_tenant_records(service, request) -> "tuple[int, dict]":
 async def _handle_event(service, request, kind) -> "tuple[int, dict]":
     body = request.body
     name = _require(body, "tenant")
+    if not isinstance(name, str):
+        raise ServeError(
+            f"tenant must be a string, got {type(name).__name__}")
     uid = _require(body, "uid")
     now = _require(body, "time")
     if not isinstance(now, (int, float)) or isinstance(now, bool):

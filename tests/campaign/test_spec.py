@@ -423,9 +423,9 @@ class TestShardsAndKernel:
 
     def test_kernel_knob_round_trips(self):
         # Every tier in the shared registry -- including "compiled"
-        # and "auto" -- is a valid campaign value: the knob is
-        # resolved at run time, not at spec validation (a spec
-        # written on a numba machine must still load elsewhere).
+        # -- is a valid campaign value: the knob is resolved at run
+        # time, not at spec validation (a spec written on a numba
+        # machine must still load elsewhere).
         from repro.core.kernels import KERNEL_TIERS
 
         for kernel in KERNEL_TIERS:
@@ -441,6 +441,11 @@ class TestShardsAndKernel:
     def test_kernel_knob_validation(self):
         with pytest.raises(CampaignError, match="kernel"):
             tiny_spec(kernel="fast")
+
+    def test_kernel_knob_rejects_auto(self):
+        with pytest.raises(CampaignError) as error:
+            tiny_spec(kernel="auto")
+        assert "('paired', 'reference', 'compiled')" in str(error.value)
 
     def test_kernel_knob_reaches_online_scenarios(self):
         spec = tiny_spec(kernel="reference")

@@ -19,8 +19,7 @@ Contracts under test (see ``docs/kernels.md``):
 * memo invalidation (the online departure path) never changes values;
 * availability: ``kernel="compiled"`` without numba raises
   :class:`~repro.core.kernels.CompiledKernelUnavailable` with an
-  actionable message, while ``kernel="auto"`` silently degrades to
-  the paired tier.
+  actionable message.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
 from repro.core.dca import DelayAnalyzer
-from repro.core.kernels import (
-    AUTO_COMPILED_MIN_ACTIVE,
-    AUTO_COMPILED_MIN_JOBS,
-    CompiledKernelUnavailable,
-    auto_tier_online,
-    pick_tier,
-    resolve_kernel,
-)
+from repro.core.kernels import CompiledKernelUnavailable, resolve_kernel
 from repro.workload.edge import EdgeWorkloadConfig, generate_edge_case
 from repro.workload.random_jobs import (
     RandomInstanceConfig,
@@ -237,31 +229,11 @@ class TestAvailability:
                            match="numba"):
             DelayAnalyzer(edge_jobset(num_jobs=6), kernel="compiled")
 
-    def test_error_names_the_auto_escape_hatch(self, no_compiled):
-        with pytest.raises(CompiledKernelUnavailable,
-                           match="kernel='auto'"):
-            resolve_kernel("compiled", num_jobs=6)
-
-    def test_auto_degrades_to_paired(self, no_compiled):
-        analyzer = DelayAnalyzer(
-            edge_jobset(num_jobs=AUTO_COMPILED_MIN_JOBS + 4),
-            kernel="auto")
-        assert analyzer.kernel == "paired"
-        assert analyzer.requested_kernel == "auto"
-
-    def test_auto_picks_compiled_when_available(self, force_fallback):
-        large = DelayAnalyzer(
-            edge_jobset(num_jobs=AUTO_COMPILED_MIN_JOBS + 4),
-            kernel="auto")
-        assert large.kernel == "compiled"
-        small = DelayAnalyzer(edge_jobset(num_jobs=4), kernel="auto")
-        assert small.kernel == "paired"
-
     def test_window_filter_off_resolves_to_reference(self,
                                                      force_fallback):
-        assert resolve_kernel("paired", num_jobs=20,
+        assert resolve_kernel("paired",
                               window_filter=False) == "reference"
-        assert resolve_kernel("auto", num_jobs=20,
+        assert resolve_kernel("compiled",
                               window_filter=False) == "reference"
 
     def test_unavailable_beats_window_filter_downgrade(self,
@@ -269,58 +241,22 @@ class TestAvailability:
         # The availability error must not be masked by the
         # window-filter downgrade to "reference".
         with pytest.raises(CompiledKernelUnavailable):
-            resolve_kernel("compiled", num_jobs=20,
-                           window_filter=False)
+            resolve_kernel("compiled", window_filter=False)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="paired"):
-            resolve_kernel("blas", num_jobs=5)
+            resolve_kernel("blas")
+
+    def test_auto_is_not_a_tier(self):
+        with pytest.raises(ValueError) as error:
+            DelayAnalyzer(edge_jobset(num_jobs=6), kernel="auto")
+        assert str(error.value) == (
+            "kernel must be one of ('paired', 'reference', 'compiled'), "
+            "got 'auto'")
 
     def test_requested_kernel_survives_resolution(self,
                                                   force_fallback):
         analyzer = DelayAnalyzer(edge_jobset(num_jobs=4),
-                                 kernel="auto")
-        assert analyzer.requested_kernel == "auto"
-        assert analyzer.kernel == "paired"
-
-
-class TestAutoOnlineCrossover:
-    """``kernel="auto"`` online dispatch pins on the *active* count.
-
-    The online engines re-resolve the auto tier per decision through
-    :func:`repro.core.kernels.auto_tier_online`, whose crossover
-    (``AUTO_COMPILED_MIN_ACTIVE``) deliberately sits below the batch
-    one: the fused compiled frontier probe amortises its dispatch
-    overhead faster than a whole batch sweep does.
-    """
-
-    def test_crossover_pinned_on_active_count(self, force_fallback):
-        assert auto_tier_online(AUTO_COMPILED_MIN_ACTIVE) == "compiled"
-        assert auto_tier_online(
-            AUTO_COMPILED_MIN_ACTIVE - 1) == "paired"
-        assert auto_tier_online(0) == "paired"
-        assert auto_tier_online(10 * AUTO_COMPILED_MIN_ACTIVE) == \
-            "compiled"
-
-    def test_online_crossover_sits_below_batch(self):
-        # An active count in [MIN_ACTIVE, MIN_JOBS) picks compiled
-        # online but paired in batch context: the online decision
-        # amortises dispatch on a single probe, the batch sweep needs
-        # the larger universe to win.
-        assert AUTO_COMPILED_MIN_ACTIVE < AUTO_COMPILED_MIN_JOBS
-        mid = AUTO_COMPILED_MIN_ACTIVE
-        assert pick_tier(mid, compiled_ok=True,
-                         context="online") == "compiled"
-        assert pick_tier(mid, compiled_ok=True,
-                         context="batch") == "paired"
-
-    def test_without_compiled_always_paired(self, no_compiled):
-        for n in (0, AUTO_COMPILED_MIN_ACTIVE,
-                  AUTO_COMPILED_MIN_JOBS, 500):
-            assert auto_tier_online(n) == "paired"
-            assert pick_tier(n, compiled_ok=False,
-                             context="online") == "paired"
-
-    def test_unknown_context_rejected(self):
-        with pytest.raises(ValueError, match="context"):
-            pick_tier(16, compiled_ok=True, context="bogus")
+                                 kernel="compiled", window_filter=False)
+        assert analyzer.requested_kernel == "compiled"
+        assert analyzer.kernel == "reference"

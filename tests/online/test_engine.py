@@ -99,10 +99,10 @@ class TestColdEquivalence:
                                                 monkeypatch):
         """Every kernel tier's incremental engine against the cold
         controller on a congested stream (accept, reject, evict and
-        retry all fire).  ``compiled``/``auto`` run on the forced
-        pure-python fallback loops (arithmetic-identical to the jitted
+        retry all fire).  ``compiled`` runs on the forced pure-python
+        fallback loops (arithmetic-identical to the jitted
         primitives), so the test needs no optional dependency."""
-        if kernel in ("compiled", "auto"):
+        if kernel == "compiled":
             import repro.core.kernels as kernels
 
             monkeypatch.setattr(kernels, "FORCE_FALLBACK", True)
@@ -344,6 +344,19 @@ class TestEngineMechanics:
             with pytest.raises(ValueError):
                 OnlineAdmissionEngine(source, retry_limit=-1)
 
+    def test_auto_kernel_rejected(self):
+        from repro.online.streams import OnlineStream
+
+        stream = _stream(0)
+        empty = OnlineStream(system=stream.system, events=[],
+                             config=StreamConfig(horizon=10.0))
+        for source in (stream, empty):
+            with pytest.raises(ValueError) as error:
+                ShardedAdmissionEngine(source, kernel="auto")
+            assert str(error.value) == (
+                "kernel must be one of ('paired', 'reference', "
+                "'compiled'), got 'auto'")
+
 
 class TestScenarioHelpers:
     def test_run_online_scenario_matches_engine(self):
@@ -357,7 +370,7 @@ class TestScenarioHelpers:
     def test_single_shard_scenario_reports_sharding(self):
         from repro.online.engine import ONLINE_CALL_KEY
 
-        assert ONLINE_CALL_KEY == "online/run@v5"
+        assert ONLINE_CALL_KEY == "online/run@v6"
         spec = OnlineScenarioSpec(
             stream=StreamConfig(horizon=40.0, rate=0.3), seed=2)
         result = run_online_scenario(spec)

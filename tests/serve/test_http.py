@@ -133,6 +133,16 @@ class TestSmoke:
             status, body = await client.request(
                 "POST", "/v1/tenants", {"name": "x"})
             assert status == 400 and "scenario" in body["error"]
+            tenant = service.tenants.get("t")
+            journal = [list(entry) for entry in tenant.journal]
+            for path in ("/v1/admit", "/v1/depart"):
+                for name in (["t"], {"t": 1}):
+                    status, body = await client.request(
+                        "POST", path,
+                        {"tenant": name, "uid": 0, "time": 0.0})
+                    assert status == 400 and "tenant" in body["error"]
+            assert tenant.sequence == 0
+            assert tenant.journal == journal
 
         asyncio.run(with_service(scenario))
 
@@ -204,8 +214,15 @@ class TestFraming:
         (b"POST /v1/admit HTTP/1.1\r\nContent-Length: "
          + str(MAX_BODY_BYTES + 1).encode("ascii") + b"\r\n\r\n", 413),
         (b"GARBAGE\r\n", 400),
+        (b"GET /" + b"a" * (1 << 17) + b" HTTP/1.1\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (1 << 17)
+         + b"\r\n\r\n", 400),
+        (b"POST /v1/admit HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+         + b"[" * 100_000, 400),
     ], ids=["bad-json", "non-integer-length", "negative-length",
-            "oversized-body", "malformed-request-line"])
+            "oversized-body", "malformed-request-line",
+            "over-long-request-line", "over-long-header-line",
+            "deeply-nested-json"])
     def test_framing_errors_reply_and_close(self, data, expected):
         async def scenario(service, client):
             await create_tenant(client)

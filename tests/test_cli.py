@@ -456,6 +456,19 @@ class TestShardsAndKernelFlags:
         with pytest.raises(SystemExit):
             parser.parse_args(["online", "--kernel", "fast"])
 
+    @pytest.mark.parametrize("argv", [
+        ["online", "--kernel", "auto"],
+        ["opdca", "--kernel", "auto"],
+        ["campaign", "run", "spec.json", "--kernel", "auto"],
+    ], ids=["online", "opdca", "campaign-run"])
+    def test_kernel_auto_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice: 'auto'" in error
+        assert "'paired', 'reference', 'compiled'" in error
+
     def test_online_sharded_end_to_end(self, capsys):
         argv = ["online", "--stream", "poisson", "--horizon", "40",
                 "--rate", "0.3", "--cases", "1", "--shards", "2"]
