@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.system import JobSet
+from repro.core.system import JobSet, MSMRSystem, Stage
 from repro.sim.engine import PipelineSimulator
 from repro.sim.metrics import SimulationResult
 from repro.sim.policies import PerStagePolicy
-from repro.workload.heaviness import heaviness_matrix
+from repro.workload.heaviness import resource_heaviness
 
 
 @dataclass
@@ -61,16 +61,10 @@ class DCMPResult:
 def virtual_deadlines(jobset: JobSet) -> np.ndarray:
     """Per-stage virtual deadlines ``D_i * Upsilon_ij / sum_j
     Upsilon_ij``."""
-    h = heaviness_matrix(jobset)
-    n, num_stages = jobset.num_jobs, jobset.num_stages
-    upsilon = np.zeros((n, num_stages))
-    for j in range(num_stages):
-        # chi of the specific resource each job uses at stage j.
-        totals: dict[int, float] = {}
-        for resource in np.unique(jobset.R[:, j]):
-            members = jobset.R[:, j] == resource
-            totals[int(resource)] = float(h[members, j].sum())
-        upsilon[:, j] = [totals[int(r)] for r in jobset.R[:, j]]
+    # chi of the specific resource each job uses at each stage.
+    chi = resource_heaviness(jobset)
+    upsilon = np.array([[chi[(j, r)] for j, r in enumerate(row)]
+                        for row in jobset.R.tolist()])
     shares = upsilon / upsilon.sum(axis=1, keepdims=True)
     return jobset.D[:, None] * shares
 
@@ -144,19 +138,12 @@ def dcmp(jobset: JobSet, *,
 def _stage_subproblem(jobset: JobSet, stage: int, budgets: np.ndarray,
                       virtual: np.ndarray) -> JobSet:
     """Single-stage job set for the budget-release DCMP variant."""
-    from repro.core.job import Job
-    from repro.core.system import MSMRSystem, Stage
-
     source = jobset.system.stages[stage]
     system = MSMRSystem([Stage(num_resources=source.num_resources,
                                preemptive=source.preemptive,
                                name=source.name)])
     releases = (budgets[:, stage] - virtual[:, stage])
-    jobs = [
-        Job(processing=(float(jobset.P[i, stage]),),
-            deadline=float(max(virtual[i, stage], 1e-9)),
-            arrival=float(releases[i]),
-            resources=(int(jobset.R[i, stage]),))
-        for i in range(jobset.num_jobs)
-    ]
-    return JobSet(system, jobs)
+    return JobSet.from_arrays(
+        system, jobset.P[:, stage:stage + 1],
+        np.maximum(virtual[:, stage], 1e-9),
+        jobset.R[:, stage:stage + 1], A=releases)

@@ -112,12 +112,15 @@ class JobSet:
 
     The constructor validates that every job traverses all stages of the
     system and that every resource index is within range, then caches the
-    numpy views used throughout the analysis.
+    numpy views used throughout the analysis.  :meth:`from_arrays` builds
+    the same set straight from those views, and :class:`Job` objects are
+    then made only when :attr:`jobs`, iteration, indexing or
+    :meth:`label` ask for them.
     """
 
     def __init__(self, system: MSMRSystem, jobs: Iterable[Job]) -> None:
         self._system = system
-        self._jobs = tuple(jobs)
+        self._jobs: "tuple[Job, ...] | None" = tuple(jobs)
         if not self._jobs:
             raise ModelError("a job set needs at least one job")
         n_stages = system.num_stages
@@ -132,14 +135,72 @@ class JobSet:
                         f"job {job.label(idx)} uses resource {resource} at "
                         f"stage {j}, but the stage only has "
                         f"{system.stages[j].num_resources}")
-        self._build_arrays()
-
-    def _build_arrays(self) -> None:
         jobs = self._jobs
-        self.P = np.array([job.processing for job in jobs], dtype=float)
-        self.A = np.array([job.arrival for job in jobs], dtype=float)
-        self.D = np.array([job.deadline for job in jobs], dtype=float)
-        self.R = np.array([job.resources for job in jobs], dtype=np.int64)
+        self._set_arrays(
+            np.array([job.processing for job in jobs], dtype=float),
+            np.array([job.arrival for job in jobs], dtype=float),
+            np.array([job.deadline for job in jobs], dtype=float),
+            np.array([job.resources for job in jobs], dtype=np.int64),
+            _names_array([job.name for job in jobs]))
+
+    @classmethod
+    def from_arrays(cls, system: MSMRSystem, P, D, R, A=None,
+                    names: "Sequence[str | None] | None" = None
+                    ) -> "JobSet":
+        """Build a job set from ``(n, N)`` processing times ``P``,
+        deadlines ``D``, the ``(n, N)`` mapping ``R``, arrivals ``A``
+        (default 0) and optional job ``names``.
+
+        It rejects exactly what building one :class:`Job` per row and
+        then :class:`JobSet` would, with the same message, and the
+        result equals that set field for field.  No :class:`Job` is
+        made until one is asked for.
+        """
+        P = np.array(P, dtype=float)
+        D = np.array(D, dtype=float)
+        R = np.array(R, dtype=np.int64)
+        n = D.shape[0] if D.ndim == 1 else -1
+        A = np.zeros(max(n, 0)) if A is None else np.array(A, dtype=float)
+        if P.ndim != 2 or R.ndim != 2 or D.ndim != 1 or A.ndim != 1 or \
+                not P.shape[0] == R.shape[0] == n == A.shape[0]:
+            raise ModelError(
+                f"from_arrays needs P (n, N), D (n,), R (n, N) and "
+                f"A (n,), got shapes {P.shape}, {D.shape}, {R.shape} and "
+                f"{A.shape}")
+        if names is not None:
+            names = list(names)
+            if len(names) != n:
+                raise ModelError(
+                    f"from_arrays got {len(names)} names for {n} jobs")
+        _check_job_rows(P, D, R)
+        if n == 0:
+            raise ModelError("a job set needs at least one job")
+        counts = np.asarray(system.resources_per_stage, dtype=np.int64)
+        if P.shape[1] != counts.size:
+            raise ModelError(
+                f"job {_label(names, 0)} has {P.shape[1]} stages, "
+                f"system has {counts.size}")
+        over = R >= counts
+        if over.any():
+            idx, j = divmod(int(np.argmax(over)), counts.size)
+            raise ModelError(
+                f"job {_label(names, idx)} uses resource {int(R[idx, j])} "
+                f"at stage {j}, but the stage only has {int(counts[j])}")
+        jobset = object.__new__(cls)
+        jobset._system = system
+        jobset._jobs = None
+        jobset._set_arrays(P, A, D, R,
+                           None if names is None else _names_array(names))
+        return jobset
+
+    def _set_arrays(self, P: np.ndarray, A: np.ndarray, D: np.ndarray,
+                    R: np.ndarray, names: "np.ndarray | None") -> None:
+        self.P = P
+        self.A = A
+        self.D = D
+        self.R = R
+        #: Job names as an object array, or ``None`` when no job has one.
+        self._names = names
         # The O(n^2) pairwise tensors are materialised on first access:
         # the online engine's per-event subsets slice their segment
         # caches from the universe and often never touch them.
@@ -184,28 +245,39 @@ class JobSet:
 
     @property
     def jobs(self) -> tuple[Job, ...]:
+        """The jobs, made from the arrays on first access if the set
+        was built by :meth:`from_arrays` or :meth:`restrict`."""
+        if self._jobs is None:
+            names = ([None] * self.num_jobs if self._names is None
+                     else self._names.tolist())
+            self._jobs = tuple(
+                Job(processing=tuple(p), deadline=d, arrival=a,
+                    resources=tuple(r), name=name)
+                for p, d, a, r, name in zip(
+                    self.P.tolist(), self.D.tolist(), self.A.tolist(),
+                    self.R.tolist(), names))
         return self._jobs
 
     @property
     def num_jobs(self) -> int:
-        return len(self._jobs)
+        return self.D.shape[0]
 
     @property
     def num_stages(self) -> int:
         return self._system.num_stages
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return self.D.shape[0]
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(self._jobs)
+        return iter(self.jobs)
 
     def __getitem__(self, index: int) -> Job:
-        return self._jobs[index]
+        return self.jobs[index]
 
     def label(self, index: int) -> str:
         """Human-readable label of job ``index``."""
-        return self._jobs[index].label(index)
+        return self.jobs[index].label(index)
 
     # ------------------------------------------------------------------
     # Conflict sets (Section II: M_{i,j} and M_i)
@@ -271,17 +343,15 @@ class JobSet:
                 f"restrict indices out of range for {self.num_jobs} jobs")
         subset = object.__new__(JobSet)
         subset._system = self._system
-        subset._jobs = tuple(self._jobs[int(i)] for i in idx)
-        subset.P = self.P[idx]
-        subset.A = self.A[idx]
-        subset.D = self.D[idx]
-        subset.R = self.R[idx]
-        # Recomputed lazily from the sliced R/A/D on first access --
-        # elementwise comparisons, hence bitwise identical to slicing
-        # the parent's tensors (which may not even be materialised).
-        subset._shares = None
-        subset._overlaps = None
-        subset._conflicts = None
+        # Jobs are remade from the sliced arrays only if asked for.
+        subset._jobs = None
+        # The pairwise tensors are recomputed lazily from the sliced
+        # R/A/D on first access -- elementwise comparisons, hence
+        # bitwise identical to slicing the parent's tensors (which may
+        # not even be materialised).
+        subset._set_arrays(
+            self.P[idx], self.A[idx], self.D[idx], self.R[idx],
+            None if self._names is None else self._names[idx])
         return subset
 
     def partition(self, assignment: "Sequence[int] | np.ndarray",
@@ -354,3 +424,45 @@ class JobSet:
     def __repr__(self) -> str:
         return (f"JobSet(n={self.num_jobs}, stages={self.num_stages}, "
                 f"system={self._system!r})")
+
+
+def _names_array(names: "list[str | None]") -> "np.ndarray | None":
+    """Job names as a 1-d object array, or ``None`` if all are unset."""
+    if all(name is None for name in names):
+        return None
+    array = np.empty(len(names), dtype=object)
+    array[:] = names
+    return array
+
+
+def _label(names: "list[str | None] | None", index: int) -> str:
+    """:meth:`Job.label` of row ``index`` without making the job."""
+    name = None if names is None else names[index]
+    return f"J{index}" if name is None else name
+
+
+def _check_job_rows(P: np.ndarray, D: np.ndarray, R: np.ndarray) -> None:
+    """Raise the :class:`ModelError` that ``Job.__post_init__`` raises
+    for the first invalid row, checks in its order."""
+    if P.shape[0] == 0:
+        return
+    if P.shape[1] == 0:
+        raise ModelError("a job needs at least one stage")
+    if R.shape[1] != P.shape[1]:
+        raise ModelError(
+            f"job has {P.shape[1]} processing times but "
+            f"{R.shape[1]} resource mappings")
+    checks = ((P < 0).any(axis=1), (P == 0).all(axis=1), D <= 0,
+              (R < 0).any(axis=1))
+    bad = np.logical_or.reduce(checks)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    processing = tuple(P[i].tolist())
+    if checks[0][i]:
+        raise ModelError(f"negative processing time in {processing}")
+    if checks[1][i]:
+        raise ModelError("all stage processing times are zero")
+    if checks[2][i]:
+        raise ModelError(f"deadline must be positive, got {float(D[i])}")
+    raise ModelError(f"negative resource index in {tuple(R[i].tolist())}")

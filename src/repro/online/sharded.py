@@ -335,6 +335,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         self._admitted: set[int] = set()
         self._cross_retry: list[int] = []
         self._seen: set[int] = set()
+        self._departed: set[int] = set()
         self._metrics = OnlineMetrics(self._universe)
         self._heaviness: "np.ndarray | None" = None
         #: Whole-universe certificate state (lazy: shard-local traffic
@@ -1045,16 +1046,28 @@ admit_all_or_nothing`, a witness search under the float-monotone
         the :class:`~repro.online.metrics.EventRecord` entries the
         event appended -- one for an arrival, one plus any retry
         re-admissions for a departure.
+
+        Raises :class:`ValueError`, before any state changes, for an
+        unknown ``kind``, a second arrival of ``uid``, or a departure of
+        a ``uid`` that never arrived or has already departed.
         """
         if kind not in ("arrive", "depart"):
             raise ValueError(
                 f"kind must be 'arrive' or 'depart', got {kind!r}")
+        if kind == "arrive":
+            if uid in self._seen:
+                raise ValueError(f"uid {uid} has already arrived")
+        elif uid not in self._seen:
+            raise ValueError(f"uid {uid} departs before it arrived")
+        elif uid in self._departed:
+            raise ValueError(f"uid {uid} has already departed")
         before = len(self._metrics.records)
         index = self._event_index
         self._event_index += 1
         if kind == "arrive":
             self._on_arrival(index, now, uid)
         else:
+            self._departed.add(uid)
             self._on_departure(index, now, uid)
         return self._metrics.records[before:]
 

@@ -135,10 +135,12 @@ def build_opt_model(jobset: JobSet, equation: str = "eq6", *,
 
     builder = ModelBuilder()
     pair_vars: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for k in range(i + 1, n):
-            if relevant[i, k]:
-                pair_vars[(i, k)] = builder.add_binary(f"x[{i}>{k}]")
+    # pair_col[i, k] = pair_col[k, i]: column of the pair's binary.
+    pair_col = np.full((n, n), -1, dtype=np.int64)
+    for i, k in zip(*(side.tolist()
+                      for side in np.nonzero(np.triu(relevant, 1)))):
+        var = builder.add_binary(f"x[{i}>{k}]")
+        pair_vars[(i, k)] = pair_col[i, k] = pair_col[k, i] = var
 
     def higher_term(k: int, i: int) -> tuple[int, float, float]:
         """``X_{k,i}`` as ``(var, coefficient, constant)`` so that
@@ -151,68 +153,117 @@ def build_opt_model(jobset: JobSet, equation: str = "eq6", *,
     theta_vars: dict[tuple[int, int], int] = {}
     lambda_vars: dict[tuple[int, int], int] = {}
     selector_vars: dict[tuple[int, int, int], int] = {}
-
+    #: max_col[i, s]: column of job i's s-th maximum (its theta stages,
+    #: then its lambda stages).
+    max_col = np.empty((n, len(theta_stages) + len(lambda_stages)),
+                       dtype=np.int64)
     for i in range(n):
         # theta_{i,j} >= ep_{i,j} always (J_i itself is in Q_i/Z_{i,j}),
         # folded into the variable's lower bound.
-        for j in theta_stages:
-            theta_vars[(i, j)] = builder.add_continuous(
+        for s, j in enumerate(theta_stages):
+            theta_vars[(i, j)] = max_col[i, s] = builder.add_continuous(
                 f"theta[{i},{j}]", lower=float(ep[i, i, j]))
-        for j in lambda_stages:
-            lambda_vars[(i, j)] = builder.add_continuous(
+        for s, j in enumerate(lambda_stages, start=len(theta_stages)):
+            lambda_vars[(i, j)] = max_col[i, s] = builder.add_continuous(
                 f"lambda[{i},{j}]", lower=0.0)
 
-    for i in range(n):
-        neighbours = [int(k) for k in np.flatnonzero(relevant[i])]
-        # --- Eq. 9a: theta >= X_{k,i} * ep_{k,j} --------------------
-        for j in theta_stages:
-            theta = theta_vars[(i, j)]
-            for k in neighbours:
-                value = float(ep[i, k, j])
-                if value <= 0.0:
-                    continue
-                var, coeff, const = higher_term(k, i)
-                # theta - value*(coeff*var + const) >= 0
-                builder.add_geq({theta: 1.0, var: -value * coeff},
-                                value * const)
-        # --- lambda >= X_{i,k} * ep_{k,j} (lower-set blocking) ------
-        for j in lambda_stages:
-            lam = lambda_vars[(i, j)]
-            for k in neighbours:
-                value = float(ep[i, k, j])
-                if value <= 0.0:
-                    continue
-                # X_{i,k} = 1 - X_{k,i}
-                var, coeff, const = higher_term(k, i)
-                builder.add_geq({lam: 1.0, var: value * coeff},
-                                value * (1.0 - const))
-        # --- faithful mode: Eq. 9b/9c selectors ---------------------
-        if mode == "faithful":
+    rows, columns, values, rhs, deadline_row = _job_rows(
+        jobset, ep, coefficients, relevant, pair_col, max_col,
+        theta_stages, lambda_stages)
+    if mode == "compact":
+        builder.add_leq_block(rows, columns, values, rhs)
+    else:
+        # Eq. 9b/9c selectors go between each job's Eq. 9a rows and its
+        # deadline row.
+        cut = np.searchsorted(rows, np.arange(rhs.size + 1))
+
+        def append(lo: int, hi: int) -> None:
+            entries = slice(cut[lo], cut[hi])
+            builder.add_leq_block(rows[entries] - lo, columns[entries],
+                                  values[entries], rhs[lo:hi])
+
+        first = 0
+        for i in range(n):
+            last = int(deadline_row[i])
+            append(first, last)
+            neighbours = [int(k) for k in np.flatnonzero(relevant[i])]
             _add_selectors(builder, i, theta_stages, theta_vars, ep,
                            neighbours, higher_term, big_m, selector_vars,
                            lower_set=False)
             _add_selectors(builder, i, lambda_stages, lambda_vars, ep,
                            neighbours, higher_term, big_m, selector_vars,
                            lower_set=True)
-        # --- deadline constraint (Eq. 8 + D_i) ----------------------
-        row: dict[int, float] = {}
-        rhs = float(jobset.D[i]) - float(coefficients[i, i])
-        for k in neighbours:
-            weight = float(coefficients[i, k])
-            if weight == 0.0:
-                continue
-            var, coeff, const = higher_term(k, i)
-            row[var] = row.get(var, 0.0) + weight * coeff
-            rhs -= weight * const
-        for j in theta_stages:
-            row[theta_vars[(i, j)]] = 1.0
-        for j in lambda_stages:
-            row[lambda_vars[(i, j)]] = 1.0
-        builder.add_leq(row, rhs)
+            append(last, last + 1)
+            first = last + 1
 
     return OPTModel(problem=builder.build(), equation=equation, mode=mode,
                     pair_vars=pair_vars, theta_vars=theta_vars,
                     lambda_vars=lambda_vars, selector_vars=selector_vars)
+
+
+def _job_rows(jobset: JobSet, ep: np.ndarray, coefficients: np.ndarray,
+              relevant: np.ndarray, pair_col: np.ndarray,
+              max_col: np.ndarray, theta_stages: list[int],
+              lambda_stages: list[int]):
+    """Every job's Eq. 9a rows and Eq. 8 deadline row as ``<=`` rows in
+    coordinate form, sorted by row: ``(rows, columns, values, rhs,
+    deadline_row)``.
+
+    Job ``i`` owns a run of rows: one per theta stage ``j`` and
+    neighbour ``k`` with ``ep_{i,k,j} > 0`` (``theta >= X_{k,i} ep``),
+    then the same for its lambda stages (``lambda >= X_{i,k} ep``), both
+    stored negated, and last its deadline row ``deadline_row[i]``.  Each
+    value is the same float expression the per-row build evaluated, so
+    signed zeros survive.
+    """
+    n = jobset.num_jobs
+    # Directed neighbour pairs, job first: X_{k,i} = coeff * var + const.
+    job, other = np.nonzero(relevant)
+    var = pair_col[job, other]
+    higher = other < job
+    coeff = np.where(higher, 1.0, -1.0)
+    const = np.where(higher, 0.0, 1.0)
+
+    # Eq. 9a: per job, slot (theta stages, then lambda stages) major.
+    ep_pairs = ep[job, other][:, theta_stages + lambda_stages]
+    pair, slot = np.nonzero(~(ep_pairs <= 0.0))
+    order = np.lexsort((other[pair], slot, job[pair]))
+    pair, slot = pair[order], slot[order]
+    value = ep_pairs[pair, slot]
+    c, k = coeff[pair], const[pair]
+    lower_set = slot >= len(theta_stages)
+    max_job = job[pair]
+    # Jobs before max_job own one deadline row each.
+    max_row = np.arange(pair.size) + max_job
+    # theta - value*(c*var + k) >= 0 and, with X_{i,k} = 1 - X_{k,i},
+    # lambda + value*c*var >= value*(1 - k); both stored negated.
+    max_value = np.where(lower_set, -(value * c), -(-value * c))
+    max_rhs = np.where(lower_set, -(value * (1.0 - k)), -(value * k))
+
+    # Eq. 8: C_{i,i} + sum_k C_{i,k} X_{k,i} + sum maxima <= D_i.
+    per_job = np.bincount(max_job, minlength=n)
+    deadline_row = np.cumsum(per_job) + np.arange(n)
+    weight = coefficients[job, other]
+    used = weight != 0.0
+    bounds = (jobset.D - np.diagonal(coefficients)).tolist()
+    # Left to right per job, exactly as a scalar running subtraction.
+    for i, term in zip(job[used].tolist(),
+                       (weight[used] * const[used]).tolist()):
+        bounds[i] -= term
+    rhs = np.empty(pair.size + n)
+    rhs[max_row] = max_rhs
+    rhs[deadline_row] = bounds
+
+    slots = max_col.shape[1]
+    rows = np.concatenate((max_row, max_row, deadline_row[job[used]],
+                           np.repeat(deadline_row, slots)))
+    columns = np.concatenate((max_col[max_job, slot], var[pair],
+                              var[used], max_col.ravel()))
+    values = np.concatenate((np.full(pair.size, -1.0), max_value,
+                             0.0 + weight[used] * coeff[used],
+                             np.ones(n * slots)))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], columns[order], values[order], rhs, deadline_row
 
 
 def _add_selectors(builder: ModelBuilder, i: int, stages: list[int],

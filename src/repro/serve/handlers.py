@@ -120,7 +120,7 @@ async def _handle_event(service, request, kind) -> "tuple[int, dict]":
     tenant = service.tenants.get(name)
     service.traces.record(
         request.trace_id, "enqueued", tenant=name, kind=kind, uid=uid)
-    payload = await service.process_event(tenant, kind, uid, float(now))
+    payload = await service.process_event(tenant, kind, uid, now)
     service.traces.record(
         request.trace_id, "decided", tenant=name, uid=uid,
         decision=payload["decision"])

@@ -207,7 +207,12 @@ class Tenant:
             raise ServeError(
                 f"uid must be an integer in [0, {self.num_jobs}), "
                 f"got {uid!r}")
-        now = float(now)
+        try:
+            now = float(now)
+        except OverflowError:
+            raise ServeError(
+                "time must be finite, got an integer beyond the float "
+                "range") from None
         if not math.isfinite(now):
             raise ServeError(f"time must be finite, got {now!r}")
         if now < self._last_time:
@@ -215,7 +220,12 @@ class Tenant:
                 f"events must be fed chronologically: time {now:g} "
                 f"is before the last processed event at "
                 f"{self._last_time:g}")
-        records = self.engine.process(now, kind, uid)
+        try:
+            records = self.engine.process(now, kind, uid)
+        except ValueError as error:
+            # A repeated or unknown uid: the engine refuses it before
+            # changing any state.
+            raise ServeError(str(error)) from None
         self._last_time = now
         self.journal.append([kind, int(uid), now])
         return self._response(records)

@@ -85,10 +85,8 @@ class ModelBuilder:
         self._lower: list[float] = []
         self._upper: list[float] = []
         self._objective: list[float] = []
-        self._ub_rows: list[dict[int, float]] = []
-        self._ub_rhs: list[float] = []
-        self._eq_rows: list[dict[int, float]] = []
-        self._eq_rhs: list[float] = []
+        self._ub = _Rows()
+        self._eq = _Rows()
 
     # -- variables ---------------------------------------------------
 
@@ -122,9 +120,7 @@ class ModelBuilder:
     def add_leq(self, coefficients: dict[int, float], rhs: float) -> int:
         """Add ``sum coeff * var <= rhs``; returns the row index."""
         self._check_columns(coefficients)
-        self._ub_rows.append(dict(coefficients))
-        self._ub_rhs.append(float(rhs))
-        return len(self._ub_rows) - 1
+        return self._ub.add(coefficients, rhs)
 
     def add_geq(self, coefficients: dict[int, float], rhs: float) -> int:
         """Add ``sum coeff * var >= rhs`` (stored negated)."""
@@ -134,9 +130,35 @@ class ModelBuilder:
     def add_eq(self, coefficients: dict[int, float], rhs: float) -> int:
         """Add ``sum coeff * var == rhs``; returns the row index."""
         self._check_columns(coefficients)
-        self._eq_rows.append(dict(coefficients))
-        self._eq_rhs.append(float(rhs))
-        return len(self._eq_rows) - 1
+        return self._eq.add(coefficients, rhs)
+
+    def add_leq_block(self, rows: np.ndarray, columns: np.ndarray,
+                      values: np.ndarray, rhs: np.ndarray) -> int:
+        """Add ``len(rhs)`` ``<=`` rows at once, in coordinate form.
+
+        Entry ``e`` puts ``values[e]`` at column ``columns[e]`` of block
+        row ``rows[e]``; block row ``r`` reads ``... <= rhs[r]``.  The
+        result equals one :meth:`add_leq` per block row, in order.
+        Returns the index of the block's first row.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = np.array(columns, dtype=np.int64)
+        values = np.array(values, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if not rows.shape == columns.shape == values.shape or \
+                rows.ndim != 1 or rhs.ndim != 1:
+            raise ValueError(
+                f"block needs 1-d rows, columns and values of one length "
+                f"and 1-d rhs, got shapes {rows.shape}, {columns.shape}, "
+                f"{values.shape} and {rhs.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
+            raise IndexError(
+                f"block rows must lie in [0, {rhs.size})")
+        if columns.size and (columns.min() < 0 or
+                             columns.max() >= len(self._names)):
+            raise IndexError(
+                f"unknown variable index in {columns.tolist()}")
+        return self._ub.add_block(rows, columns, values, rhs)
 
     def _check_columns(self, coefficients: dict[int, float]) -> None:
         num_vars = len(self._names)
@@ -159,25 +181,59 @@ class ModelBuilder:
     def build(self) -> MILPProblem:
         """Assemble the accumulated rows into an immutable problem."""
         num_vars = len(self._names)
-
-        def to_sparse(rows: list[dict[int, float]]) -> sparse.csr_matrix:
-            data, row_idx, col_idx = [], [], []
-            for r, row in enumerate(rows):
-                for c, value in row.items():
-                    row_idx.append(r)
-                    col_idx.append(c)
-                    data.append(value)
-            return sparse.csr_matrix(
-                (data, (row_idx, col_idx)), shape=(len(rows), num_vars))
-
         return MILPProblem(
             objective=np.asarray(self._objective, dtype=float),
             integrality=np.asarray(self._integrality, dtype=np.int64),
             lower=np.asarray(self._lower, dtype=float),
             upper=np.asarray(self._upper, dtype=float),
-            a_ub=to_sparse(self._ub_rows),
-            b_ub=np.asarray(self._ub_rhs, dtype=float),
-            a_eq=to_sparse(self._eq_rows),
-            b_eq=np.asarray(self._eq_rhs, dtype=float),
+            a_ub=self._ub.matrix(num_vars),
+            b_ub=np.asarray(self._ub.rhs, dtype=float),
+            a_eq=self._eq.matrix(num_vars),
+            b_eq=np.asarray(self._eq.rhs, dtype=float),
             names=list(self._names),
         )
+
+
+class _Rows:
+    """Constraint rows of one kind in coordinate form: array chunks from
+    blocks, Python lists for rows added one at a time."""
+
+    def __init__(self) -> None:
+        self.rhs: list[float] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rows: list[int] = []
+        self._columns: list[int] = []
+        self._values: list[float] = []
+
+    def add(self, coefficients: dict[int, float], rhs: float) -> int:
+        row = len(self.rhs)
+        self._rows.extend([row] * len(coefficients))
+        self._columns.extend(coefficients)
+        self._values.extend(coefficients.values())
+        self.rhs.append(float(rhs))
+        return row
+
+    def add_block(self, rows: np.ndarray, columns: np.ndarray,
+                  values: np.ndarray, rhs: np.ndarray) -> int:
+        first = len(self.rhs)
+        self._flush()
+        self._chunks.append((rows + first, columns, values))
+        self.rhs.extend(rhs.tolist())
+        return first
+
+    def _flush(self) -> None:
+        if self._rows:
+            self._chunks.append((np.asarray(self._rows),
+                                 np.asarray(self._columns),
+                                 np.asarray(self._values)))
+            self._rows, self._columns, self._values = [], [], []
+
+    def matrix(self, num_vars: int) -> sparse.csr_matrix:
+        if self._chunks:
+            self._flush()
+            rows, columns, values = (np.concatenate(part)
+                                     for part in zip(*self._chunks))
+        else:
+            rows, columns, values = self._rows, self._columns, self._values
+        return sparse.csr_matrix((values, (rows, columns)),
+                                 shape=(len(self.rhs), num_vars))

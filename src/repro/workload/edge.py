@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.exceptions import ModelError
-from repro.core.job import Job
 from repro.core.system import JobSet, MSMRSystem, Stage
 from repro.workload.heaviness import heaviness_matrix, system_heaviness
 
@@ -155,33 +154,30 @@ def generate_edge_case(config: EdgeWorkloadConfig | None = None, *,
     rng = np.random.default_rng(seed)
     n = config.num_jobs
 
-    heavy = _draw_heavy_classes(rng, config)
-    deadlines, heaviness = _draw_heaviness(rng, config, heavy)
+    heavy = _draw_heavy_classes(rng, n, config.heavy_fractions)
+    deadlines, heaviness = _draw_heaviness(
+        rng, config, heavy, config.stage_ranges,
+        "no feasible deadline for job {i}: stage ranges {ranges} are "
+        "incompatible with the heaviness classes {windows}")
     processing = heaviness * deadlines[:, None]
 
     ap_of, server_of = _draw_mapping(rng, config, heaviness)
 
-    jobs = [
-        Job(processing=tuple(processing[i]),
-            deadline=float(deadlines[i]),
-            arrival=0.0,
-            resources=(int(ap_of[i]), int(server_of[i]), int(ap_of[i])),
-            name=f"J{i}")
-        for i in range(n)
-    ]
-    jobset = JobSet(edge_system(config), jobs)
+    jobset = JobSet.from_arrays(
+        edge_system(config), processing, deadlines,
+        np.stack([ap_of, server_of, ap_of], axis=1),
+        names=[f"J{i}" for i in range(n)])
     case = EdgeTestCase(jobset=jobset, config=config, seed=seed,
                         heavy=heavy, ap_of=ap_of, server_of=server_of)
     _check_invariants(case)
     return case
 
 
-def _draw_heavy_classes(rng: np.random.Generator,
-                        config: EdgeWorkloadConfig) -> np.ndarray:
+def _draw_heavy_classes(rng: np.random.Generator, n: int,
+                        fractions: "tuple[float, ...]") -> np.ndarray:
     """Pick exactly ``round(h_j * n)`` heavy jobs per stage."""
-    n = config.num_jobs
-    heavy = np.zeros((n, 3), dtype=bool)
-    for j, fraction in enumerate(config.heavy_fractions):
+    heavy = np.zeros((n, len(fractions)), dtype=bool)
+    for j, fraction in enumerate(fractions):
         count = int(round(fraction * n))
         if count > 0:
             chosen = rng.choice(n, size=count, replace=False)
@@ -189,50 +185,58 @@ def _draw_heavy_classes(rng: np.random.Generator,
     return heavy
 
 
-def _draw_heaviness(rng: np.random.Generator, config: EdgeWorkloadConfig,
-                    heavy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _draw_heaviness(rng: np.random.Generator, config, heavy: np.ndarray,
+                    ranges: "tuple[tuple[float, float], ...]",
+                    error: str) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``D_i`` and ``h_{i,j}`` jointly.
 
     For stage ``j`` with range ``[lo_j, hi_j]`` and class window
     ``[c_lo, c_hi)`` the deadline must satisfy
     ``lo_j / c_hi <= D`` (so some admissible ``h`` reaches ``lo_j``)
     and ``D <= hi_j / c_lo``; the per-stage heaviness is then drawn
-    uniformly from ``[max(c_lo, lo_j/D), min(c_hi, hi_j/D)]``.
+    uniformly from ``[max(c_lo, lo_j/D), min(c_hi, hi_j/D)]``
+    (log-uniformly for light classes under ``light_dist``).
+
+    ``config`` supplies ``beta``, ``light_min`` and ``light_dist``.  A
+    job with no feasible deadline raises ``error`` formatted with the
+    job index ``i``, ``ranges`` and its class ``windows``.
+
+    The random stream is that of a per-job ``rng.uniform`` for ``D_i``
+    followed by one per stage: ``rng.uniform(a, b)`` is
+    ``a + (b - a) * u`` on the next double ``u``, so one
+    ``rng.random((n, N + 1))`` draw consumes the same doubles in the
+    same order.
     """
-    n = config.num_jobs
-    beta = config.beta
-    deadlines = np.empty(n)
-    heaviness = np.empty((n, 3))
-    for i in range(n):
-        d_low, d_high = 0.0, np.inf
-        windows = []
-        for j, (lo, hi) in enumerate(config.stage_ranges):
-            if heavy[i, j]:
-                c_lo, c_hi = beta, 2.0 * beta
-            else:
-                c_lo, c_hi = config.light_min, beta
-            windows.append((c_lo, c_hi))
-            d_low = max(d_low, lo / c_hi)
-            d_high = min(d_high, hi / c_lo)
-        if d_low > d_high:
-            raise ModelError(
-                f"no feasible deadline for job {i}: stage ranges "
-                f"{config.stage_ranges} are incompatible with the "
-                f"heaviness classes {windows}")
-        deadlines[i] = rng.uniform(d_low, d_high)
-        for j, (lo, hi) in enumerate(config.stage_ranges):
-            c_lo, c_hi = windows[j]
-            h_lo = max(c_lo, lo / deadlines[i])
-            h_hi = min(c_hi, hi / deadlines[i])
-            # Numerical guard: the deadline interval guarantees
-            # h_lo <= h_hi up to rounding.
-            h_hi = max(h_hi, h_lo)
-            if heavy[i, j] or config.light_dist == "uniform" or \
-                    h_lo <= 0.0:
-                heaviness[i, j] = rng.uniform(h_lo, h_hi)
-            else:
-                heaviness[i, j] = float(np.exp(
-                    rng.uniform(np.log(h_lo), np.log(max(h_hi, h_lo)))))
+    beta, light_min = config.beta, config.light_min
+    lo = np.array([low for low, _high in ranges], dtype=float)
+    hi = np.array([high for _low, high in ranges], dtype=float)
+    c_lo = np.where(heavy, beta, light_min)
+    c_hi = np.where(heavy, 2.0 * beta, beta)
+    d_low = np.maximum((lo / c_hi).max(axis=1), 0.0)
+    d_high = (hi / c_lo).min(axis=1)
+    span = d_high - d_low
+    bad = (d_low > d_high) | ~np.isfinite(span)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if d_low[i] <= d_high[i]:
+            # What rng.uniform(d_low, d_high) raises on an infinite span.
+            raise OverflowError("high - low range exceeds valid bounds")
+        windows = [(beta, 2.0 * beta) if is_heavy else (light_min, beta)
+                   for is_heavy in heavy[i].tolist()]
+        raise ModelError(error.format(i=i, ranges=ranges, windows=windows))
+    u = rng.random((heavy.shape[0], heavy.shape[1] + 1))
+    deadlines = d_low + span * u[:, 0]
+    h_lo = np.maximum(c_lo, lo / deadlines[:, None])
+    # Numerical guard: the deadline interval guarantees h_lo <= h_hi
+    # up to rounding.
+    h_hi = np.maximum(np.minimum(c_hi, hi / deadlines[:, None]), h_lo)
+    heaviness = h_lo + (h_hi - h_lo) * u[:, 1:]
+    logarithmic = ~heavy & ~(h_lo <= 0.0)
+    if config.light_dist != "uniform" and logarithmic.any():
+        log_lo = np.log(h_lo[logarithmic])
+        log_hi = np.log(h_hi[logarithmic])
+        heaviness[logarithmic] = np.exp(
+            log_lo + (log_hi - log_lo) * u[:, 1:][logarithmic])
     return deadlines, heaviness
 
 
@@ -240,28 +244,38 @@ def _draw_mapping(rng: np.random.Generator, config: EdgeWorkloadConfig,
                   heaviness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign APs and servers keeping every ``chi_{y,j} <= gamma``."""
     n = config.num_jobs
+    limit = config.gamma + 1e-12
+    policy, packing = config.mapping_policy, config.packing_prob
+    aps, servers = range(config.num_aps), range(config.num_servers)
+    rows = heaviness.tolist()
     for _ in range(config.mapping_retries):
         order = rng.permutation(n)
         ap_of = np.full(n, -1, dtype=np.int64)
         server_of = np.full(n, -1, dtype=np.int64)
-        chi_up = np.zeros(config.num_aps)
-        chi_down = np.zeros(config.num_aps)
-        chi_server = np.zeros(config.num_servers)
+        chi_up = [0.0] * config.num_aps
+        chi_down = [0.0] * config.num_aps
+        chi_server = [0.0] * config.num_servers
         ok = True
-        for i in order:
-            i = int(i)
-            ap = _pick(rng, config,
-                       np.maximum(chi_up + heaviness[i, 0],
-                                  chi_down + heaviness[i, 2]))
-            server = _pick(rng, config, chi_server + heaviness[i, 1])
+        for i in order.tolist():
+            up, compute, down = rows[i]
+            # An AP fits when both of its links stay within gamma.  Both
+            # picks draw before either failure is acted on.
+            ap = _pick(rng, [y for y in aps if chi_up[y] + up <= limit
+                             and chi_down[y] + down <= limit],
+                       lambda y: max(chi_up[y] + up, chi_down[y] + down),
+                       policy, packing)
+            server = _pick(rng, [y for y in servers
+                                 if chi_server[y] + compute <= limit],
+                           lambda y: chi_server[y] + compute,
+                           policy, packing)
             if ap is None or server is None:
                 ok = False
                 break
             ap_of[i] = ap
             server_of[i] = server
-            chi_up[ap] += heaviness[i, 0]
-            chi_down[ap] += heaviness[i, 2]
-            chi_server[server] += heaviness[i, 1]
+            chi_up[ap] += up
+            chi_down[ap] += down
+            chi_server[server] += compute
         if ok:
             return ap_of, server_of
     raise ModelError(
@@ -270,12 +284,13 @@ def _draw_mapping(rng: np.random.Generator, config: EdgeWorkloadConfig,
         f"gamma")
 
 
-def _pick(rng: np.random.Generator, config: EdgeWorkloadConfig,
-          load_if_assigned: np.ndarray) -> int | None:
-    """Choose a resource among those staying within ``gamma``.
+def _pick(rng: np.random.Generator, feasible: "list[int]", load,
+          policy: str, packing_prob: float) -> int | None:
+    """Choose one of the ``feasible`` resources (those staying within
+    ``gamma``).
 
-    ``load_if_assigned[y]`` is the resulting heaviness of resource ``y``
-    if the job were placed there.  Policy:
+    ``load(y)`` is the resulting heaviness of resource ``y`` if the job
+    were placed there.  Policy:
 
     * ``uniform``  -- uniformly random feasible resource;
     * ``best_fit`` -- the feasible resource left *fullest* (packs load
@@ -284,22 +299,21 @@ def _pick(rng: np.random.Generator, config: EdgeWorkloadConfig,
       load, the easiest instances);
     * ``mixed``    -- best-fit with probability ``packing_prob``, else
       uniform; interpolates difficulty while keeping ``gamma`` binding.
+
+    A draw among ``k`` candidates is ``rng.integers(0, k)``, the draw
+    ``rng.choice`` makes on a ``k``-element array.
     """
-    feasible = np.flatnonzero(load_if_assigned <= config.gamma + 1e-12)
-    if feasible.size == 0:
+    if not feasible:
         return None
-    policy = config.mapping_policy
     if policy == "mixed":
-        policy = ("best_fit" if rng.random() < config.packing_prob
+        policy = ("best_fit" if rng.random() < packing_prob
                   else "uniform")
     if policy == "uniform":
-        return int(rng.choice(feasible))
-    loads = load_if_assigned[feasible]
-    if policy == "best_fit":
-        best = np.flatnonzero(loads == loads.max())
-    else:
-        best = np.flatnonzero(loads == loads.min())
-    return int(feasible[rng.choice(best)])
+        return feasible[rng.integers(0, len(feasible))]
+    loads = [load(y) for y in feasible]
+    target = max(loads) if policy == "best_fit" else min(loads)
+    best = [y for y, value in zip(feasible, loads) if value == target]
+    return best[rng.integers(0, len(best))]
 
 
 def _check_invariants(case: EdgeTestCase) -> None:
@@ -308,10 +322,10 @@ def _check_invariants(case: EdgeTestCase) -> None:
     h = heaviness_matrix(case.jobset)
     if (h >= 2.0 * config.beta + 1e-9).any():
         raise ModelError("a job exceeds the 2*beta heaviness cap")
-    if case.system_heaviness > config.gamma + 1e-9:
+    load = case.system_heaviness
+    if load > config.gamma + 1e-9:
         raise ModelError(
-            f"system heaviness {case.system_heaviness:.3f} exceeds "
-            f"gamma={config.gamma}")
+            f"system heaviness {load:.3f} exceeds gamma={config.gamma}")
     processing = case.jobset.P
     for j, (lo, hi) in enumerate(config.stage_ranges):
         column = processing[:, j]

@@ -36,13 +36,23 @@ def heavy_mask(jobset: JobSet, beta: float) -> np.ndarray:
 
 
 def resource_heaviness(jobset: JobSet) -> dict[tuple[int, int], float]:
-    """``chi_{y,j}`` for every (stage, resource index) pair."""
+    """``chi_{y,j}`` for every (stage, resource index) pair.
+
+    Each total is ``h[R[:, j] == y, j].sum()`` bit for bit: a stable
+    sort by resource lays every resource's jobs out contiguously in
+    index order, and the same ``sum`` runs over that run.
+    """
     h = heaviness_matrix(jobset)
     chi: dict[tuple[int, int], float] = {}
-    for stage in range(jobset.num_stages):
-        for resource in range(jobset.system.stages[stage].num_resources):
-            members = jobset.R[:, stage] == resource
-            chi[(stage, resource)] = float(h[members, stage].sum())
+    for stage, count in enumerate(jobset.system.resources_per_stage):
+        column = jobset.R[:, stage]
+        order = np.argsort(column, kind="stable")
+        bounds = np.searchsorted(column[order],
+                                 np.arange(count + 1)).tolist()
+        ordered = h[order, stage]
+        for resource in range(count):
+            chi[(stage, resource)] = float(
+                ordered[bounds[resource]:bounds[resource + 1]].sum())
     return chi
 
 

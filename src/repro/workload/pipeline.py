@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.exceptions import ModelError
-from repro.core.job import Job
 from repro.core.system import JobSet, MSMRSystem, Stage
+from repro.workload.edge import _draw_heavy_classes, _draw_heaviness, _pick
 from repro.workload.heaviness import heaviness_matrix, system_heaviness
 
 #: Default per-stage processing range when none is given (ms).
@@ -156,96 +156,49 @@ def generate_pipeline_case(config: PipelineWorkloadConfig | None = None,
     if config is None:
         config = PipelineWorkloadConfig()
     rng = np.random.default_rng(seed)
-    heavy = _draw_heavy_classes(rng, config)
-    deadlines, heaviness = _draw_heaviness(rng, config, heavy)
+    heavy = _draw_heavy_classes(rng, config.num_jobs, config.fractions())
+    ranges = config.ranges()
+    deadlines, heaviness = _draw_heaviness(
+        rng, config, heavy, ranges,
+        "no feasible deadline for job {i}: ranges {ranges} conflict "
+        "with heaviness classes {windows}")
     processing = heaviness * deadlines[:, None]
     mapping = _draw_mapping(rng, config, heaviness)
-    jobs = [
-        Job(processing=tuple(processing[i]),
-            deadline=float(deadlines[i]),
-            arrival=0.0,
-            resources=tuple(int(r) for r in mapping[i]),
-            name=f"J{i}")
-        for i in range(config.num_jobs)
-    ]
-    case = PipelineTestCase(jobset=JobSet(pipeline_system(config), jobs),
-                            config=config, seed=seed, heavy=heavy)
+    jobset = JobSet.from_arrays(
+        pipeline_system(config), processing, deadlines, mapping,
+        names=[f"J{i}" for i in range(config.num_jobs)])
+    case = PipelineTestCase(jobset=jobset, config=config, seed=seed,
+                            heavy=heavy)
     _check_invariants(case)
     return case
-
-
-def _draw_heavy_classes(rng: np.random.Generator,
-                        config: PipelineWorkloadConfig) -> np.ndarray:
-    n, num_stages = config.num_jobs, config.num_stages
-    heavy = np.zeros((n, num_stages), dtype=bool)
-    for j, fraction in enumerate(config.fractions()):
-        count = int(round(fraction * n))
-        if count > 0:
-            chosen = rng.choice(n, size=count, replace=False)
-            heavy[chosen, j] = True
-    return heavy
-
-
-def _draw_heaviness(rng: np.random.Generator,
-                    config: PipelineWorkloadConfig,
-                    heavy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint deadline/heaviness draw; same scheme as the edge
-    generator, generalised to N stages."""
-    n, num_stages = config.num_jobs, config.num_stages
-    beta = config.beta
-    ranges = config.ranges()
-    deadlines = np.empty(n)
-    heaviness = np.empty((n, num_stages))
-    for i in range(n):
-        d_low, d_high = 0.0, np.inf
-        windows = []
-        for j, (lo, hi) in enumerate(ranges):
-            if heavy[i, j]:
-                c_lo, c_hi = beta, 2.0 * beta
-            else:
-                c_lo, c_hi = config.light_min, beta
-            windows.append((c_lo, c_hi))
-            d_low = max(d_low, lo / c_hi)
-            d_high = min(d_high, hi / c_lo)
-        if d_low > d_high:
-            raise ModelError(
-                f"no feasible deadline for job {i}: ranges {ranges} "
-                f"conflict with heaviness classes {windows}")
-        deadlines[i] = rng.uniform(d_low, d_high)
-        for j, (lo, hi) in enumerate(ranges):
-            c_lo, c_hi = windows[j]
-            h_lo = max(c_lo, lo / deadlines[i])
-            h_hi = max(min(c_hi, hi / deadlines[i]), h_lo)
-            if heavy[i, j] or config.light_dist == "uniform" or \
-                    h_lo <= 0.0:
-                heaviness[i, j] = rng.uniform(h_lo, h_hi)
-            else:
-                heaviness[i, j] = float(np.exp(
-                    rng.uniform(np.log(h_lo), np.log(h_hi))))
-    return deadlines, heaviness
 
 
 def _draw_mapping(rng: np.random.Generator,
                   config: PipelineWorkloadConfig,
                   heaviness: np.ndarray) -> np.ndarray:
-    """Independent per-stage placement keeping ``chi_{y,j} <= gamma``."""
+    """Independent per-stage placement keeping ``chi_{y,j} <= gamma``
+    (the edge generator's calibrated ``mixed`` policy)."""
     n, num_stages = config.num_jobs, config.num_stages
     pools = config.pools()
+    limit = config.gamma + 1e-12
+    rows = heaviness.tolist()
     for _ in range(config.mapping_retries):
         order = rng.permutation(n)
         mapping = np.full((n, num_stages), -1, dtype=np.int64)
-        chi = [np.zeros(pool) for pool in pools]
+        chi = [[0.0] * pool for pool in pools]
         ok = True
-        for i in order:
-            i = int(i)
-            for j in range(num_stages):
-                resource = _pick(rng, config,
-                                 chi[j] + heaviness[i, j])
+        for i in order.tolist():
+            for j, h in enumerate(rows[i]):
+                loads = [c + h for c in chi[j]]
+                resource = _pick(
+                    rng, [y for y, load in enumerate(loads)
+                          if load <= limit],
+                    loads.__getitem__, "mixed", config.packing_prob)
                 if resource is None:
                     ok = False
                     break
                 mapping[i, j] = resource
-                chi[j][resource] += heaviness[i, j]
+                chi[j][resource] += h
             if not ok:
                 break
         if ok:
@@ -256,29 +209,15 @@ def _draw_mapping(rng: np.random.Generator,
         f"gamma")
 
 
-def _pick(rng: np.random.Generator, config: PipelineWorkloadConfig,
-          load_if_assigned: np.ndarray) -> int | None:
-    """Mixed best-fit/uniform choice among resources within gamma
-    (the edge generator's calibrated policy)."""
-    feasible = np.flatnonzero(load_if_assigned <= config.gamma + 1e-12)
-    if feasible.size == 0:
-        return None
-    if rng.random() < config.packing_prob:
-        loads = load_if_assigned[feasible]
-        best = np.flatnonzero(loads == loads.max())
-        return int(feasible[rng.choice(best)])
-    return int(rng.choice(feasible))
-
-
 def _check_invariants(case: PipelineTestCase) -> None:
     config = case.config
     h = heaviness_matrix(case.jobset)
     if (h >= 2.0 * config.beta + 1e-9).any():
         raise ModelError("a job exceeds the 2*beta heaviness cap")
-    if case.system_heaviness > config.gamma + 1e-9:
+    load = case.system_heaviness
+    if load > config.gamma + 1e-9:
         raise ModelError(
-            f"system heaviness {case.system_heaviness:.3f} exceeds "
-            f"gamma={config.gamma}")
+            f"system heaviness {load:.3f} exceeds gamma={config.gamma}")
     for j, (lo, hi) in enumerate(config.ranges()):
         column = case.jobset.P[:, j]
         if (column < lo - 1e-9).any() or (column > hi + 1e-9).any():

@@ -102,3 +102,21 @@ class TestDCMP:
         result = dcmp(jobset)
         assert result.end_to_end_feasible == result.simulation.all_met
         assert result.delays.shape == (2,)
+
+
+def test_virtual_deadlines_use_each_resources_masked_total():
+    """``Upsilon_{i,j}`` is ``h[R[:, j] == R_{i,j}, j].sum()`` bit for
+    bit, so the shares and deadlines are too."""
+    from repro.workload.edge import EdgeWorkloadConfig, generate_edge_case
+    from repro.workload.heaviness import heaviness_matrix
+
+    jobset = generate_edge_case(
+        EdgeWorkloadConfig(num_jobs=120, num_aps=8, num_servers=6,
+                           beta=0.05, gamma=3.0), seed=1).jobset
+    h = heaviness_matrix(jobset)
+    upsilon = np.array([[h[jobset.R[:, j] == r, j].sum()
+                         for j, r in enumerate(row)]
+                        for row in jobset.R])
+    want = jobset.D[:, None] * (upsilon
+                                / upsilon.sum(axis=1, keepdims=True))
+    assert virtual_deadlines(jobset).tobytes() == want.tobytes()

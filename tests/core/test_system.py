@@ -147,3 +147,120 @@ class TestJobSet:
     def test_label(self):
         jobset = two_stage_jobset()
         assert jobset.label(1) == "J1"
+
+
+def _job_built(system, P, D, R, A=None, names=None):
+    """The set (or the error text) one :class:`Job` per row gives."""
+    n = len(D)
+    A = [0.0] * n if A is None else A
+    names = [None] * n if names is None else names
+    try:
+        return JobSet(system, [
+            Job(processing=tuple(P[i]), deadline=D[i], arrival=A[i],
+                resources=tuple(R[i]), name=names[i])
+            for i in range(n)])
+    except ModelError as error:
+        return str(error)
+
+
+def _array_built(system, P, D, R, A=None, names=None):
+    try:
+        return JobSet.from_arrays(system, P, D, R, A=A, names=names)
+    except ModelError as error:
+        return str(error)
+
+
+TWO_BY_TWO = MSMRSystem([Stage(2), Stage(3)])
+
+
+class TestFromArrays:
+    @pytest.mark.parametrize("P, D, R", [
+        # an empty set
+        (np.zeros((0, 2)), [], np.zeros((0, 2))),
+        # stage-count mismatch
+        ([[1.0, 2.0, 3.0]], [5.0], [[0, 0, 0]]),
+        # no stages at all, and processing/resource lengths that differ
+        (np.zeros((1, 0)), [5.0], np.zeros((1, 0))),
+        ([[1.0, 2.0]], [5.0], [[0]]),
+        # negative and all-zero processing times
+        ([[1.0, 2.0], [1.0, -2.0]], [5.0, 5.0], [[0, 0], [0, 0]]),
+        ([[1.0, 2.0], [0.0, 0.0]], [5.0, 5.0], [[0, 0], [0, 0]]),
+        # D <= 0
+        ([[1.0, 2.0], [1.0, 2.0]], [5.0, 0.0], [[0, 0], [0, 0]]),
+        ([[1.0, 2.0]], [-3.0], [[0, 0]]),
+        # negative and out-of-range resources
+        ([[1.0, 2.0], [1.0, 2.0]], [5.0, 5.0], [[0, 0], [0, -1]]),
+        ([[1.0, 2.0], [1.0, 2.0]], [5.0, 5.0], [[0, 0], [0, 3]]),
+        ([[1.0, 2.0], [1.0, 2.0]], [5.0, 5.0], [[2, 0], [0, 3]]),
+        # the first bad row wins, checks in Job order within it
+        ([[1.0, 2.0], [-1.0, 2.0], [0.0, 0.0]], [5.0, -1.0, 5.0],
+         [[0, 0], [0, -1], [0, 0]]),
+    ])
+    def test_rejects_what_job_and_jobset_reject(self, P, D, R):
+        want = _job_built(TWO_BY_TWO, np.asarray(P), list(D),
+                          np.asarray(R, dtype=int))
+        assert isinstance(want, str)
+        assert _array_built(TWO_BY_TWO, P, D, R) == want
+
+    def test_out_of_range_message_uses_the_name(self):
+        P, D, R = [[1.0, 2.0]], [5.0], [[0, 7]]
+        names = ["upload"]
+        want = _job_built(TWO_BY_TWO, P, D, R, names=names)
+        assert "upload" in want
+        assert _array_built(TWO_BY_TWO, P, D, R, names=names) == want
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ModelError, match="shapes"):
+            JobSet.from_arrays(TWO_BY_TWO, [1.0, 2.0], [5.0], [[0, 0]])
+        with pytest.raises(ModelError, match="names"):
+            JobSet.from_arrays(TWO_BY_TWO, [[1.0, 2.0]], [5.0], [[0, 0]],
+                               names=["a", "b"])
+
+    @staticmethod
+    def _pair(names=("a", None, "c")):
+        P = np.array([[1.0, 2.0], [3.0, 0.5], [2.5, 4.0]])
+        D = np.array([10.0, 12.0, 9.5])
+        A = np.array([0.0, 1.5, 3.0])
+        R = np.array([[0, 2], [1, 2], [0, 0]])
+        return (_job_built(TWO_BY_TWO, P, D, R, A=A, names=names),
+                JobSet.from_arrays(TWO_BY_TWO, P, D, R, A=A, names=names))
+
+    @pytest.mark.parametrize("names", (("a", None, "c"), None))
+    def test_lazy_jobs_equal_job_built_set(self, names):
+        built, lazy = self._pair(names)
+        for field in ("P", "A", "D", "R"):
+            got, want = getattr(lazy, field), getattr(built, field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert lazy._jobs is None
+        assert lazy.num_jobs == len(lazy) == 3
+        assert lazy.label(1) == built.label(1)
+        assert lazy.jobs == built.jobs
+        assert [job.name for job in lazy] == [job.name for job in built]
+        assert [lazy.label(i) for i in range(3)] == \
+            [built.label(i) for i in range(3)]
+        assert lazy[2] == built[2]
+        assert np.array_equal(lazy.shares, built.shares)
+        assert np.array_equal(lazy.overlaps, built.overlaps)
+
+    def test_restrict_on_lazy_and_job_built_sets(self):
+        built, lazy = self._pair()
+        for parent in (built, lazy):
+            subset = parent.restrict([2, 0])
+            assert subset._jobs is None
+            assert subset.jobs == (built.jobs[2], built.jobs[0])
+            assert [job.name for job in subset] == ["c", "a"]
+            assert subset.label(1) == "a"
+            assert np.array_equal(subset.R, built.R[[2, 0]])
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        built, lazy = self._pair()
+        for jobset in (lazy, lazy.restrict([1, 2])):
+            clone = pickle.loads(pickle.dumps(jobset))
+            assert clone.system == jobset.system
+            assert clone.P.tobytes() == jobset.P.tobytes()
+            assert clone.jobs == jobset.jobs
+            assert [job.name for job in clone] == \
+                [job.name for job in jobset]

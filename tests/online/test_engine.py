@@ -358,6 +358,36 @@ class TestEngineMechanics:
                 "'compiled'), got 'auto'")
 
 
+class TestEventValidation:
+    """Repeated or unknown uids are refused before any state changes."""
+
+    @staticmethod
+    def _state(engine):
+        return (engine._event_index, len(engine.result().records),
+                sorted(engine._admitted), engine.result().summary)
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_duplicate_and_unknown_uids_raise_without_effect(self, shards):
+        stream = _stream(0, horizon=60.0)
+        engine = ShardedAdmissionEngine(stream, shards=shards)
+        events = sorted((e.arrival, e.departure, e.uid)
+                        for e in stream.events)
+        (first, first_out, uid), (second, _out, other) = events[:2]
+        engine.process(first, "arrive", uid)
+        before = self._state(engine)
+        with pytest.raises(ValueError, match="already arrived"):
+            engine.process(first, "arrive", uid)
+        with pytest.raises(ValueError, match="before it arrived"):
+            engine.process(second, "depart", other)
+        assert self._state(engine) == before
+        assert engine.result().summary["arrivals"] == 1
+        engine.process(first_out, "depart", uid)
+        before = self._state(engine)
+        with pytest.raises(ValueError, match="already departed"):
+            engine.process(first_out, "depart", uid)
+        assert self._state(engine) == before
+
+
 class TestScenarioHelpers:
     def test_run_online_scenario_matches_engine(self):
         spec = OnlineScenarioSpec(

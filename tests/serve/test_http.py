@@ -141,8 +141,38 @@ class TestSmoke:
                         "POST", path,
                         {"tenant": name, "uid": 0, "time": 0.0})
                     assert status == 400 and "tenant" in body["error"]
+                status, body = await client.request(
+                    "POST", path, {"tenant": "t", "uid": 0, "time": 10**400})
+                assert status == 400 and "time" in body["error"]
             assert tenant.sequence == 0
             assert tenant.journal == journal
+
+        asyncio.run(with_service(scenario))
+
+    def test_repeated_and_unknown_uids_get_400(self):
+        async def scenario(service, client):
+            await create_tenant(client)
+            tenant = service.tenants.get("t")
+
+            async def send(path, uid, now):
+                return await client.request(
+                    "POST", path, {"tenant": "t", "uid": uid, "time": now})
+
+            status, _ = await send("/v1/admit", 0, 1.0)
+            assert status == 200
+            journal = [list(entry) for entry in tenant.journal]
+            for path, uid, now, error in (
+                    ("/v1/admit", 0, 1.0, "already arrived"),
+                    ("/v1/depart", 1, 2.0, "before it arrived")):
+                status, body = await send(path, uid, now)
+                assert status == 400 and error in body["error"]
+            assert tenant.journal == journal
+            assert tenant.result().summary["arrivals"] == 1
+            status, _ = await send("/v1/depart", 0, 3.0)
+            assert status == 200
+            status, body = await send("/v1/depart", 0, 4.0)
+            assert status == 400 and "already departed" in body["error"]
+            assert tenant.sequence == 2
 
         asyncio.run(with_service(scenario))
 

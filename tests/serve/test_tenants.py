@@ -148,6 +148,35 @@ class TestTenant:
         tenant.process("arrive", 1, 2.0)
         assert tenant.sequence == 2
 
+    def test_rejects_time_beyond_float_range(self):
+        tenant = Tenant("t", spec())
+        tenant.process("arrive", 0, 1.0)
+        journal = [list(entry) for entry in tenant.journal]
+        records = tenant.records()
+        for kind, uid in (("arrive", 1), ("depart", 0)):
+            with pytest.raises(ServeError, match="finite"):
+                tenant.process(kind, uid, 10**400)
+        assert tenant.sequence == 1
+        assert tenant.journal == journal
+        assert tenant.records() == records
+
+    def test_rejects_repeated_and_unknown_uids(self):
+        tenant = Tenant("t", spec())
+        tenant.process("arrive", 0, 1.0)
+        journal = [list(entry) for entry in tenant.journal]
+        with pytest.raises(ServeError, match="already arrived"):
+            tenant.process("arrive", 0, 1.0)
+        with pytest.raises(ServeError, match="before it arrived"):
+            tenant.process("depart", 1, 2.0)
+        assert tenant.journal == journal
+        assert tenant.result().summary["arrivals"] == 1
+        tenant.process("depart", 0, 3.0)
+        journal = [list(entry) for entry in tenant.journal]
+        with pytest.raises(ServeError, match="already departed"):
+            tenant.process("depart", 0, 4.0)
+        assert tenant.journal == journal
+        assert tenant.sequence == 2
+
     def test_status_shape(self):
         tenant = Tenant("t", spec())
         tenant.process("arrive", 0, 1.0)

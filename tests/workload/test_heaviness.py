@@ -59,3 +59,26 @@ class TestRejectedHeaviness:
         assert rejected_heaviness(jobset, [2]) == pytest.approx(50.0)
         assert rejected_heaviness(jobset, [0, 1, 2]) == \
             pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resource_heaviness_equals_masked_sums_bitwise(seed):
+    """Each total is the masked ``sum`` of its jobs, bit for bit, also
+    for resources holding more than eight jobs (numpy's pairwise sum
+    blocks) and for empty ones."""
+    from repro.workload.edge import EdgeWorkloadConfig, generate_edge_case
+
+    jobset = generate_edge_case(
+        EdgeWorkloadConfig(num_jobs=150, num_aps=6, num_servers=30,
+                           beta=0.05, gamma=3.0), seed=seed).jobset
+    h = heaviness_matrix(jobset)
+    want = {
+        (stage, resource): float(
+            h[jobset.R[:, stage] == resource, stage].sum())
+        for stage in range(jobset.num_stages)
+        for resource in range(jobset.system.stages[stage].num_resources)}
+    got = resource_heaviness(jobset)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == \
+        np.array(list(want.values())).tobytes()
+    assert max(jobset.R[:, 0].tolist().count(y) for y in range(6)) > 8
