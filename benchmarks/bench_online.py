@@ -5,8 +5,9 @@ OnlineAdmissionEngine` twice -- once in ``incremental`` mode (sliced
 universe caches, paired contribution kernels, lazily evaluated Audsley
 levels, carried feasible frontiers, decision memo) and once in
 ``cold`` mode (full per-event re-analysis: job set + segment cache
-rebuild and stock batch OPDCA on the pinned *reference* tensor kernel,
-the stable legacy yardstick -- see
+rebuild, then the admission driver in stock mode -- every level
+evaluated in full -- on the pinned *reference* tensor kernel, the
+stable legacy yardstick -- see
 :func:`repro.online.incremental.cold_analysis`) -- and compares the
 wall-clock time spent inside the admission decision path.  Decisions
 are bitwise identical between the two modes (property-tested in

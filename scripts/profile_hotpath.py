@@ -128,7 +128,7 @@ PHASES: "dict[str, tuple[str, ...]]" = {
     # Cross-decision subset-analysis reuse (LRU memo) and bound
     # seeding.
     "memo": (
-        "subset", "cold_subset", "remember", "_analysis", "seed",
+        "subset", "remember", "_analysis", "seed",
     ),
 }
 

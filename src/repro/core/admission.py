@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.dca import FLOAT_MONOTONE_EQUATIONS, DelayAnalyzer
+from repro.core.opa import audsley_frontier
 from repro.core.priorities import PriorityOrdering
 from repro.core.schedulability import SDCA, Policy
 from repro.core.system import JobSet
@@ -35,9 +37,9 @@ class AdmissionResult:
     delays:
         Delay bounds of accepted jobs under the final assignment
         (entries of rejected jobs are ``nan``).  May be supplied
-        lazily via ``delays_fn``: nothing on the streaming decision
-        path reads the final delay vector (commits consume only
-        ``accepted``/``ordering``), so the online controllers defer
+        lazily via ``delays_fn``: nothing on the decision path reads
+        the final delay vector (commits consume only
+        ``accepted``/``ordering``), so the OPDCA controllers defer
         the closing ``delays_for_pairwise`` batch until a consumer --
         a test, a report -- actually asks.  The thunk runs at most
         once; the accessor caches its value.
@@ -109,67 +111,127 @@ def opdca_admission(jobset: JobSet,
     unassigned job with the largest ``Delta_i - D_i`` (computed with all
     other unassigned jobs as higher priority and the already-assigned
     jobs as lower priority) and retry the level.
+
+    Runs :func:`repro.core.opa.audsley_frontier` with ``discard=True``
+    over :class:`_ExcessLevels`, so a level evaluates only the
+    candidates the stock per-level scan would reject before placing;
+    results are bitwise the stock loop's.  Delays are computed on
+    first read.
     """
     if test is None:
         test = SDCA(jobset, policy)
-    n = jobset.num_jobs
-    deadlines = jobset.D
+    return _frontier_admission(jobset, test, discard=True)
 
-    active = np.ones(n, dtype=bool)
-    unassigned = np.ones(n, dtype=bool)
-    assigned_lower = np.zeros(n, dtype=bool)
-    priority = np.zeros(n, dtype=np.int64)
-    rejected: list[int] = []
-    order_low_to_high: list[int] = []
 
-    while unassigned.any():
-        level = int(unassigned.sum())
-        # One vectorised call evaluates every candidate of this level
-        # (higher = unassigned minus self, lower = assigned so far)
-        # through the analyzer's level kernel -- the paired
-        # contribution matrices by default, bitwise identical to the
-        # broadcast tensor path.
-        delays = test.level_delays(unassigned, assigned_lower,
-                                   active=active)
-        placed = None
-        excesses: list[tuple[float, int]] = []
-        for i in np.flatnonzero(unassigned):
-            i = int(i)
-            excess = float(delays[i]) - float(deadlines[i])
-            if excess <= 1e-9:
-                placed = i
-                break
-            excesses.append((excess, i))
-        if placed is not None:
-            priority[placed] = level
-            unassigned[placed] = False
-            assigned_lower[placed] = True
-            order_low_to_high.append(placed)
-            continue
-        # Modified Step 10: discard the worst offender and retry.
-        worst_excess, worst_job = max(excesses)
-        rejected.append(worst_job)
-        active[worst_job] = False
-        unassigned[worst_job] = False
+class _ExcessLevels:
+    """Level adapter of :func:`repro.core.opa.audsley_frontier` for
+    admission: kernel values are *excesses* ``Delta_i - D_i`` against
+    a ``1e-9`` threshold -- the admission pass rule and worst-offender
+    key -- evaluated over the adapter's own ``active`` mask, which
+    :meth:`discard` clears.
 
-    # Re-number the assigned priorities contiguously (1..#accepted).
-    accepted = [int(i) for i in np.flatnonzero(active)]
-    final_priority = np.zeros(n, dtype=np.int64)
-    for rank, job in enumerate(reversed(order_low_to_high), start=1):
-        final_priority[job] = rank
+    Unlike :class:`~repro.core.schedulability.AudsleyLevelKernel`
+    (OPDCA's ``D + DEADLINE_TOLERANCE`` rule over absolute bounds),
+    excess-lower-bound pruning is enabled for the float-monotone
+    equations only (:meth:`removal_caps`)."""
 
+    def __init__(self, jobset: JobSet, test: SDCA) -> None:
+        n = jobset.num_jobs
+        self._analyzer = test.analyzer
+        self._equation = test.equation
+        self._lower_aware = test.uses_lower_set
+        self._deadlines = jobset.D
+        self.active = np.ones(n, dtype=bool)
+        self.monotone = test.opa_compatible
+        self.float_monotone = test.equation in FLOAT_MONOTONE_EQUATIONS
+        self.deadline_tol = np.full(n, 1e-9)
+
+    def removal_caps(self) -> "np.ndarray | None":
+        if not self.float_monotone:
+            return None
+        return self._analyzer.removal_caps()
+
+    def delays_rows(self, rows: np.ndarray, unassigned: np.ndarray,
+                    assigned_lower: np.ndarray) -> np.ndarray:
+        delays = self._analyzer.level_bounds(
+            unassigned, assigned_lower if self._lower_aware else None,
+            equation=self._equation, active=self.active, rows=rows)
+        return delays - self._deadlines[rows]
+
+    def probe(self, i: int, unassigned: np.ndarray,
+              assigned_lower: np.ndarray) -> float:
+        bound = self._analyzer.level_bound_single(
+            i, unassigned, assigned_lower if self._lower_aware else None,
+            equation=self._equation, active=self.active)
+        return float(bound) - float(self._deadlines[i])
+
+    def discard(self, j: int) -> None:
+        self.active[j] = False
+
+
+class _StockExcessLevels(_ExcessLevels):
+    """Monotonicity off: the driver evaluates every level in full, as
+    the stock loop does -- the online ``mode="cold"`` yardstick."""
+
+    def __init__(self, jobset: JobSet, test: SDCA) -> None:
+        super().__init__(jobset, test)
+        self.monotone = self.float_monotone = False
+
+
+def _frontier_admission(jobset: JobSet, test: SDCA, *, discard: bool,
+                        adapter: "type[_ExcessLevels]" = _ExcessLevels
+                        ) -> "AdmissionResult | None":
+    """Admission through the frontier-carrying driver: the full
+    controller with ``discard``, else feasible-or-``None``."""
+    levels = adapter(jobset, test)
+    result = audsley_frontier(jobset.num_jobs, levels, discard=discard)
+    if result.failed_level is not None:
+        return None
+    return _finish_result(test.analyzer, test.equation, jobset.num_jobs,
+                          levels.active, result.order[::-1],
+                          result.rejected)
+
+
+def _final_delays(analyzer: DelayAnalyzer, equation: str, n: int,
+                  active: np.ndarray, final_priority: np.ndarray,
+                  accepted: "list[int]") -> np.ndarray:
+    """The closing delay vector of an admission run: delay bounds of
+    the accepted jobs under the final assignment (``nan`` for
+    rejected ones).  A pure function of ``(job set, ordering,
+    active)``, so it can run *lazily*, long after the decision was
+    committed, and still produce the bitwise-identical vector."""
     delays = np.full(n, np.nan)
     if accepted:
         sub_priority = np.where(final_priority > 0, final_priority, n + 1)
         x = (sub_priority[:, None] < sub_priority[None, :])
         x[~active, :] = False
         x[:, ~active] = False
-        all_delays = test.analyzer.delays_for_pairwise(
-            x, equation=test.equation, active=active)
+        all_delays = analyzer.delays_for_pairwise(
+            x, equation=equation, active=active)
         delays[active] = all_delays[active]
+    return delays
+
+
+def _finish_result(analyzer: DelayAnalyzer, equation: str, n: int,
+                   active: np.ndarray, order_low_to_high: "list[int]",
+                   rejected: "list[int]") -> AdmissionResult:
+    """Re-number the assigned priorities contiguously (1..#accepted)
+    and wrap the result with a *lazy* delay vector: nothing on the
+    decision path reads the final delays (commits consume
+    ``accepted``/``ordering`` only), so the closing
+    ``delays_for_pairwise`` batch -- a whole ``(k, k)`` evaluation --
+    is deferred until a consumer asks."""
+    accepted = [int(i) for i in np.flatnonzero(active)]
+    final_priority = np.zeros(n, dtype=np.int64)
+    for rank, job in enumerate(reversed(order_low_to_high), start=1):
+        final_priority[job] = rank
+
+    def delays_fn() -> np.ndarray:
+        return _final_delays(analyzer, equation, n, active,
+                             final_priority, accepted)
 
     return AdmissionResult(accepted=accepted, rejected=rejected,
-                           ordering=final_priority, delays=delays)
+                           ordering=final_priority, delays_fn=delays_fn)
 
 
 def ordering_of_accepted(result: AdmissionResult) -> PriorityOrdering | None:

@@ -1255,8 +1255,8 @@ class DelayAnalyzer:
         This single definition feeds the excess-lower-bound pruning of
         :func:`repro.core.opa.audsley_frontier` through both of its
         level adapters -- OPDCA's ``AudsleyLevelKernel.removal_caps``
-        and the online admission fallback's
-        ``repro.online.incremental._ExcessLevels.removal_caps`` -- so
+        and the admission controller's
+        ``repro.core.admission._ExcessLevels.removal_caps`` -- so
         the soundness argument lives in exactly one place.  Built once
         per analyzer, cached.
         """

@@ -7,9 +7,9 @@ the schedulability test assuming all other unassigned jobs have higher
 priority.  With an OPA-compatible test this is optimal: it finds a
 feasible total ordering whenever one exists.
 
-The engine is test-agnostic -- it only needs a feasibility callback --
-so it backs both OPDCA (Algorithm 1) and the admission-controller
-variant used in Figure 4(d).
+The engine is test-agnostic -- it only needs a feasibility callback or
+a level adapter -- so it backs both OPDCA (Algorithm 1) and the
+admission-controller variant used in Figure 4(d).
 
 Two engines are provided:
 
@@ -30,9 +30,10 @@ Two engines are provided:
   probe for ``eq10``.  Decisions are identical to the stock batch
   loop -- the laziness only decides how much work is skipped.  With
   ``discard=True`` it runs the admission controller's modified
-  Step 10 (discard the worst offender, go on), which is how the
-  online layer serves every admission outside its certified-band
-  gate (:mod:`repro.online.incremental`).
+  Step 10 (discard the worst offender, go on): it is the only
+  admission loop, behind :func:`repro.core.admission.opdca_admission`
+  and every online admission outside the certified-band gate
+  (:mod:`repro.online.incremental`).
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def audsley_frontier(num_jobs: int, kernel, *,
     were none, and ``order`` ranks the placed jobs.  The worst-offender
     rule reads the kernel values directly, so an admission kernel
     reports *excesses* ``Delta_i - D_i`` (see
-    :class:`repro.online.incremental._ExcessLevels`).
+    :class:`repro.core.admission._ExcessLevels`).
     """
     if candidates is None:
         candidates = list(range(num_jobs))

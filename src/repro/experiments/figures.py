@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.admission import opdca_admission
+from repro.core.dca import DelayAnalyzer
+from repro.core.schedulability import SDCA
 from repro.experiments.config import (
     ADMISSION_APPROACHES,
     ADMISSION_SETTINGS,
@@ -162,19 +164,23 @@ def _admission_case(workload: EdgeWorkloadConfig, seed: int,
                     equation: str) -> tuple[dict[str, float], float]:
     """Evaluate every admission controller on one seeded case.
 
-    Module-level so :func:`parallel_map` can ship it to workers.
+    Module-level so :func:`parallel_map` can ship it to workers.  The
+    controllers share one analyzer; each keeps its own active mask.
     Returns (per-approach rejected heaviness, system heaviness).
     """
     case = generate_edge_case(workload, seed=seed)
     jobset = case.jobset
+    analyzer = DelayAnalyzer(jobset)
     rejected = {}
     for approach in ADMISSION_APPROACHES:
         if approach == "opdca":
-            result = opdca_admission(jobset, equation)
+            result = opdca_admission(
+                jobset, equation,
+                test=SDCA(jobset, equation, analyzer=analyzer))
         elif approach == "dmr":
-            result = dmr_admission(jobset, equation)
+            result = dmr_admission(jobset, equation, analyzer=analyzer)
         else:
-            result = dm_admission(jobset, equation)
+            result = dm_admission(jobset, equation, analyzer=analyzer)
         rejected[approach] = rejected_heaviness(jobset, result.rejected)
     return rejected, case.system_heaviness
 

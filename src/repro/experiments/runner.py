@@ -19,7 +19,6 @@ from repro.pairwise.dm import dm
 from repro.pairwise.dmr import dmr
 from repro.pairwise.opt import opt
 from repro.workload.edge import EdgeTestCase
-from repro.workload.heaviness import system_heaviness
 
 #: Approaches in the paper's stacking order, plus the DCMP baseline.
 APPROACHES = ("dm", "dmr", "opdca", "opt", "dcmp")
@@ -151,5 +150,5 @@ def evaluate_case(case: EdgeTestCase, *,
             accepted["dcmp"] = result.feasible
 
     return CaseResult(seed=case.seed, accepted=accepted, runtime=runtime,
-                      system_heaviness=system_heaviness(jobset),
+                      system_heaviness=case.system_heaviness,
                       notes=notes)

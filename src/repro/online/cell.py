@@ -319,17 +319,17 @@ class AdmissionCell:
             if self._decision_memo is not None:
                 if result is not None and self._inc is not None:
                     # Park a thin rebuilder instead of the
-                    # controller's own thunk, which closes over the
-                    # whole per-event ``SubsetAnalysis`` (restricted
-                    # caches and all) and would pin up to
-                    # DECISION_MEMO_LIMIT of them alive.  The rebuild
-                    # is bitwise identical to the eager vector
+                    # controller's own thunk, which pins the whole
+                    # per-event ``SubsetAnalysis``; bitwise identical
                     # (:func:`repro.online.incremental.result_delays`).
+                    # It must not capture ``result``: that cycle would
+                    # leave the result and ``inc`` to the cyclic GC.
                     inc = self._inc
                     cand = tuple(candidate)
+                    accepted, ordering = result.accepted, result.ordering
                     result.rebind_delays(
                         lambda: result_delays(inc.subset(list(cand)),
-                                              result))
+                                              accepted, ordering))
                 if len(self._decision_memo) >= DECISION_MEMO_LIMIT:
                     self._decision_memo.pop(
                         next(iter(self._decision_memo)))

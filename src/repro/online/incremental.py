@@ -16,20 +16,13 @@ while guaranteeing **bitwise identical decisions and delay bounds**:
   :meth:`~repro.core.segments.SegmentCache.restrict`), so standing up
   the per-event analysis costs a handful of ``numpy`` gathers instead
   of re-running the algebra.
-* :func:`incremental_admission` mirrors
-  :func:`repro.core.admission.opdca_admission` step for step, but
-  evaluates Audsley levels *lazily*, on one of two routes.  The
-  float-monotone bounds on window-filtered analyzers (every online
-  default) run the certified-band controller
-  (:func:`_banded_audsley`): one exact level-1 evaluation, then exact
-  per-removal band updates, refreshing only the candidates whose band
-  straddles the tolerance.  Everything else runs the batch path's
-  frontier-carrying driver :func:`repro.core.opa.audsley_frontier`
-  with the paper's modified Step 10 (``discard=True``) over an excess
-  adapter (:class:`_ExcessLevels`): only the candidates stock Audsley
-  would scan before its placement are evaluated, so an accept-heavy
-  level costs a thin row slice -- often nothing at all -- instead of
-  a full ``(k, k)`` batch.
+* :func:`incremental_admission` reproduces
+  :func:`repro.core.admission.opdca_admission` decision for decision.
+  The float-monotone bounds on window-filtered analyzers (every online
+  default) run the certified-band controller (:func:`_banded_audsley`):
+  one exact level-1 evaluation, then exact per-removal band updates,
+  refreshing only the candidates whose band straddles the tolerance.
+  Everything else runs ``opdca_admission``'s own lazy frontier driver.
 * departures call :meth:`~repro.core.dca.DelayAnalyzer.\
 invalidate_job` on the persistent universe analyzer, purging exactly
   the memo entries whose context involves the leaving job.
@@ -52,9 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.admission import AdmissionResult, opdca_admission
+from repro.core.admission import (
+    AdmissionResult,
+    _final_delays,
+    _finish_result,
+    _frontier_admission,
+    _StockExcessLevels,
+)
 from repro.core.dca import FLOAT_MONOTONE_EQUATIONS, DelayAnalyzer
-from repro.core.opa import audsley_frontier
 from repro.core.schedulability import SDCA, Policy, resolve_equation
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
@@ -199,17 +197,13 @@ class IncrementalAnalyzer:
         self._subset_memo[key] = analysis
         return analysis
 
-    def cold_subset(self, indices) -> SubsetAnalysis:
-        """Cold re-analysis of the same subset (reference/benchmark
-        path): rebuild the job set and every cache from scratch."""
-        return cold_analysis(self._universe, indices, self._policy)
-
 
 def cold_analysis(universe: JobSet, indices,
                   policy: "str | Policy") -> SubsetAnalysis:
     """Cold analysis of ``universe[indices]``: re-run the job-set
     constructor and the segment algebra from scratch (what a batch
-    caller would do for every event).
+    caller would do for every event).  Cold :func:`admit` then runs
+    the frontier driver in stock mode, evaluating every level in full.
 
     The analyzer is pinned to the *reference* tensor kernel so that
     "cold" stays a stable legacy yardstick for the benchmarks -- the
@@ -251,15 +245,9 @@ def incremental_admission(jobset: JobSet, test: SDCA) -> AdmissionResult:
       exact per-removal band updates, with exact refreshes only for
       the candidates whose band straddles the tolerance;
     * everything else (``eq10``, the non-OPA-compatible ``eq2``/``eq4``,
-      unfiltered analyzers) runs the batch path's frontier-carrying
-      driver :func:`repro.core.opa.audsley_frontier` with
-      ``discard=True`` over an excess adapter (:class:`_ExcessLevels`):
-      only the candidates below the carried feasible frontier are
-      evaluated, the frontier placement is free under float-monotone
-      bounds and one
-      :meth:`~repro.core.dca.DelayAnalyzer.level_bound_single` probe
-      for ``eq10``, and a level with no feasible candidate is
-      evaluated in full before its worst offender is discarded.
+      unfiltered analyzers) runs ``opdca_admission`` itself: the
+      frontier-carrying driver over
+      :class:`repro.core.admission._ExcessLevels`.
 
     Decisions are *always* exact -- both routes only decide how much
     work is skipped, never the outcome.
@@ -288,15 +276,10 @@ def incremental_feasibility(jobset: JobSet,
 
 def _lazy_audsley(jobset: JobSet, test: SDCA, *,
                   discard: bool) -> "AdmissionResult | None":
-    """Controller dispatch: the float-monotone bounds on
-    window-filtered analyzers run the *certified-band* Audsley
-    (:func:`_banded_audsley`, one full level evaluation per decision
-    plus exact refreshes of the rare straddlers); everything else --
-    ``eq10``/``eq2``/``eq4`` and unfiltered analyzers -- takes the
-    frontier-carrying driver (:func:`_frontier_admission`).  Decisions
-    and delay vectors are bitwise identical either way.  ``discard``
-    selects the modified Step 10 (full controller) over stopping at
-    the first infeasible level (all-or-nothing)."""
+    """Controller dispatch between the two routes of
+    :func:`incremental_admission`.  ``discard`` selects the modified
+    Step 10 (full controller) over stopping at the first infeasible
+    level (all-or-nothing)."""
     if _banded(jobset, test):
         return _banded_audsley(jobset, test, discard=discard)
     return _frontier_admission(jobset, test, discard=discard)
@@ -309,124 +292,23 @@ def _banded(jobset: JobSet, test: SDCA) -> bool:
                 and test.analyzer.window_filter and jobset.num_jobs)
 
 
-class _ExcessLevels:
-    """Level adapter of :func:`repro.core.opa.audsley_frontier` for
-    admission: kernel values are *excesses* ``Delta_i - D_i`` against
-    a ``1e-9`` threshold -- ``opdca_admission``'s pass rule and
-    worst-offender key -- evaluated over the adapter's own ``active``
-    mask, which :meth:`discard` clears.
-
-    Unlike :class:`~repro.core.schedulability.AudsleyLevelKernel`
-    (OPDCA's ``D + DEADLINE_TOLERANCE`` rule over absolute bounds),
-    excess-lower-bound pruning is enabled for the float-monotone
-    equations only (:meth:`removal_caps`)."""
-
-    def __init__(self, jobset: JobSet, test: SDCA) -> None:
-        n = jobset.num_jobs
-        self._analyzer = test.analyzer
-        self._equation = test.equation
-        self._lower_aware = test.uses_lower_set
-        self._deadlines = jobset.D
-        self.active = np.ones(n, dtype=bool)
-        self.monotone = test.opa_compatible
-        self.float_monotone = test.equation in FLOAT_MONOTONE_EQUATIONS
-        self.deadline_tol = np.full(n, 1e-9)
-
-    def removal_caps(self) -> "np.ndarray | None":
-        if not self.float_monotone:
-            return None
-        return self._analyzer.removal_caps()
-
-    def delays_rows(self, rows: np.ndarray, unassigned: np.ndarray,
-                    assigned_lower: np.ndarray) -> np.ndarray:
-        delays = self._analyzer.level_bounds(
-            unassigned, assigned_lower if self._lower_aware else None,
-            equation=self._equation, active=self.active, rows=rows)
-        return delays - self._deadlines[rows]
-
-    def probe(self, i: int, unassigned: np.ndarray,
-              assigned_lower: np.ndarray) -> float:
-        bound = self._analyzer.level_bound_single(
-            i, unassigned, assigned_lower if self._lower_aware else None,
-            equation=self._equation, active=self.active)
-        return float(bound) - float(self._deadlines[i])
-
-    def discard(self, j: int) -> None:
-        self.active[j] = False
-
-
-def _frontier_admission(jobset: JobSet, test: SDCA, *,
-                        discard: bool) -> "AdmissionResult | None":
-    """Admission through the batch path's frontier-carrying driver:
-    the full controller with ``discard``, else feasible-or-``None``."""
-    levels = _ExcessLevels(jobset, test)
-    result = audsley_frontier(jobset.num_jobs, levels, discard=discard)
-    if result.failed_level is not None:
-        return None
-    return _finish_result(test.analyzer, test.equation, jobset.num_jobs,
-                          levels.active, result.order[::-1],
-                          result.rejected)
-
-
-def _final_delays(analyzer: DelayAnalyzer, equation: str, n: int,
-                  active: np.ndarray, final_priority: np.ndarray,
-                  accepted: "list[int]") -> np.ndarray:
-    """The closing delay vector of an admission run: delay bounds of
-    the accepted jobs under the final assignment (``nan`` for
-    rejected ones).  Replicates the tail of ``opdca_admission``
-    verbatim -- a pure function of ``(job set, ordering, active)``, so
-    it can run *lazily*, long after the decision was committed, and
-    still produce the bitwise-identical vector."""
-    delays = np.full(n, np.nan)
-    if accepted:
-        sub_priority = np.where(final_priority > 0, final_priority, n + 1)
-        x = (sub_priority[:, None] < sub_priority[None, :])
-        x[~active, :] = False
-        x[:, ~active] = False
-        all_delays = analyzer.delays_for_pairwise(
-            x, equation=equation, active=active)
-        delays[active] = all_delays[active]
-    return delays
-
-
-def _finish_result(analyzer: DelayAnalyzer, equation: str, n: int,
-                   active: np.ndarray, order_low_to_high: "list[int]",
-                   rejected: "list[int]") -> AdmissionResult:
-    """Re-number the assigned priorities contiguously (1..#accepted),
-    exactly like ``opdca_admission``, and wrap the result with a
-    *lazy* delay vector: nothing on the streaming decision path reads
-    the final delays (commits consume ``accepted``/``ordering`` only),
-    so the closing ``delays_for_pairwise`` batch -- a whole
-    ``(k, k)`` evaluation -- is deferred until a consumer asks."""
-    accepted = [int(i) for i in np.flatnonzero(active)]
-    final_priority = np.zeros(n, dtype=np.int64)
-    for rank, job in enumerate(reversed(order_low_to_high), start=1):
-        final_priority[job] = rank
-
-    def delays_fn() -> np.ndarray:
-        return _final_delays(analyzer, equation, n, active,
-                             final_priority, accepted)
-
-    return AdmissionResult(accepted=accepted, rejected=rejected,
-                           ordering=final_priority, delays_fn=delays_fn)
-
-
-def result_delays(analysis: SubsetAnalysis,
-                  result: AdmissionResult) -> np.ndarray:
-    """Recompute the final delay vector of ``result`` over
-    ``analysis`` -- bitwise identical to what the controller that
-    produced ``result`` would have returned eagerly, because the
-    closing batch is a pure function of the job set, the final
-    ordering and the surviving active mask (and sliced subset caches
-    are bitwise identical to cold ones).  The online cells rebind
-    parked results' lazy delays onto this helper so the decision memo
-    holds thin rebuilders instead of pinning whole per-event subset
-    analyses (see :meth:`repro.online.cell.AdmissionCell.decide`)."""
+def result_delays(analysis: SubsetAnalysis, accepted: "list[int]",
+                  ordering: np.ndarray) -> np.ndarray:
+    """Recompute the final delay vector of an admission result with
+    ``accepted`` and ``ordering`` over ``analysis`` -- bitwise
+    identical to what the controller that produced it would have
+    returned eagerly, because the closing batch is a pure function of
+    the job set, the final ordering and the surviving active mask (and
+    sliced subset caches are bitwise identical to cold ones).  The
+    online cells rebind parked results' lazy delays onto this helper
+    so the decision memo holds thin rebuilders instead of pinning
+    whole per-event subset analyses (see
+    :meth:`repro.online.cell.AdmissionCell.decide`)."""
     n = analysis.jobset.num_jobs
     active = np.zeros(n, dtype=bool)
-    active[np.asarray(result.accepted, dtype=np.int64)] = True
+    active[np.asarray(accepted, dtype=np.int64)] = True
     return _final_delays(analysis.test.analyzer, analysis.test.equation,
-                         n, active, result.ordering, result.accepted)
+                         n, active, ordering, accepted)
 
 
 def _drop_stage_maxima(planes: np.ndarray, maxima: np.ndarray,
@@ -844,15 +726,17 @@ def admit(analysis: SubsetAnalysis, *,
     """Run the admission controller over one subset analysis.
 
     ``mode="incremental"`` uses the lazy level evaluation above;
-    ``mode="cold"`` runs the stock batch
-    :func:`~repro.core.admission.opdca_admission` (the reference the
-    equivalence tests and the benchmark compare against).
+    ``mode="cold"`` runs the frontier driver in stock mode
+    (:class:`~repro.core.admission._StockExcessLevels`: every level
+    evaluated in full), the yardstick the online benchmark measures
+    the incremental path against.
     """
     if mode == "incremental":
         return incremental_admission(analysis.jobset, analysis.test)
     if mode == "cold":
-        return opdca_admission(analysis.jobset, analysis.test.equation,
-                               test=analysis.test)
+        return _frontier_admission(analysis.jobset, analysis.test,
+                                   discard=True,
+                                   adapter=_StockExcessLevels)
     raise ValueError(f"mode must be 'incremental' or 'cold', got {mode!r}")
 
 
@@ -886,8 +770,9 @@ def admit_trajectory(analysis: SubsetAnalysis, *,
     job, and on success bitwise identical to it.  The retry queue
     uses this instead of the full controller because a failed retry
     stops at its first infeasible level instead of paying the discard
-    cascade.  ``mode="cold"`` runs the frontier-carrying driver over
-    the cold analysis (:func:`_frontier_admission`), with the same
+    cascade.  ``mode="cold"`` runs the lazy frontier-carrying driver
+    over the cold analysis
+    (:func:`repro.core.admission._frontier_admission`), with the same
     ``Delta_i - D_i <= 1e-9`` pass rule as cold :func:`admit`.
     """
     if mode == "incremental":

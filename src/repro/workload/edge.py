@@ -34,6 +34,7 @@ choices here (documented in DESIGN.md) honour every stated constraint:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -124,7 +125,7 @@ class EdgeTestCase:
     ap_of: np.ndarray = field(default=None)
     server_of: np.ndarray = field(default=None)
 
-    @property
+    @functools.cached_property
     def system_heaviness(self) -> float:
         return system_heaviness(self.jobset)
 

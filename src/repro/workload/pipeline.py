@@ -17,6 +17,7 @@ pool (no shared AP between stages).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,7 +137,7 @@ class PipelineTestCase:
     seed: int
     heavy: np.ndarray
 
-    @property
+    @functools.cached_property
     def system_heaviness(self) -> float:
         return system_heaviness(self.jobset)
 

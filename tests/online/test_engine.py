@@ -2,7 +2,8 @@
 
 The acceptance-criterion property test lives here: at *every* event,
 the engine's admitted set, ordering and delay bounds must match a cold
-``opdca_admission`` rebuild over the same candidate jobs -- and the
+rebuild over the same candidate jobs run through the stock per-level
+admission loop (the oracle in ``tests/properties``) -- and the
 serial and ``--jobs``-sharded evaluation paths must be identical.
 """
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.admission import opdca_admission
 from repro.core.kernels import KERNEL_TIERS
 from repro.core.system import JobSet
 from repro.online.engine import (
@@ -23,6 +23,7 @@ from repro.online.engine import (
 )
 from repro.online.sharded import ShardedAdmissionEngine
 from repro.online.streams import StreamConfig, generate_stream
+from tests.properties.test_property_kernels import stock_opdca_admission
 
 
 def _stream(seed=0, *, kind="poisson", horizon=120.0, rate=0.3,
@@ -81,7 +82,7 @@ class TestColdEquivalence:
         for _index, kind, _uid, candidate, result in engine.decisions:
             cold_set = JobSet(universe.system,
                               [universe.jobs[i] for i in candidate])
-            cold = opdca_admission(cold_set, "eq6")
+            cold = stock_opdca_admission(cold_set, "eq6")
             if kind == "retry" and result is None:
                 # A failed all-or-nothing retry == the full controller
                 # would have rejected someone.

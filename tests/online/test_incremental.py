@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.admission import opdca_admission
 from repro.core.dca import DelayAnalyzer
 from repro.core.schedulability import SDCA
 from repro.core.segments import SegmentCache
@@ -30,6 +29,7 @@ from repro.online.streams import (
     generate_stream,
 )
 from repro.workload.random_jobs import RandomInstanceConfig, random_jobset
+from tests.properties.test_property_kernels import stock_opdca_admission
 
 
 def _universe(seed, num_jobs=14, *, offsets=True):
@@ -240,7 +240,7 @@ class TestIncrementalAdmission:
         window_filter = params["window_filter"]
         lazy = incremental_admission(
             jobset, _fresh_test(jobset, equation, window_filter))
-        stock = opdca_admission(
+        stock = stock_opdca_admission(
             jobset, equation,
             test=_fresh_test(jobset, equation, window_filter))
         assert lazy.accepted == stock.accepted
@@ -261,10 +261,10 @@ class TestIncrementalAdmission:
             size = int(rng.integers(1, min(12, n) + 1))
             idx = np.sort(rng.choice(n, size=size, replace=False))
             warm = inc.subset(idx)
-            cold = inc.cold_subset(idx)
+            cold = cold_analysis(stream.universe(), idx, "preemptive")
             lazy = incremental_admission(warm.jobset, warm.test)
-            stock = opdca_admission(cold.jobset, cold.test.equation,
-                                    test=cold.test)
+            stock = stock_opdca_admission(
+                cold.jobset, cold.test.equation, test=cold.test)
             assert lazy.accepted == stock.accepted
             assert lazy.rejected == stock.rejected
             assert np.array_equal(lazy.delays, stock.delays,
@@ -289,7 +289,7 @@ class TestIncrementalAdmission:
             preemptive=params["preemptive"], max_offset=10.0)
         test = SDCA(jobset, params["equation"])
         lazy = incremental_admission(jobset, test)
-        stock = opdca_admission(jobset, params["equation"])
+        stock = stock_opdca_admission(jobset, params["equation"])
         assert lazy.accepted == stock.accepted
         assert lazy.rejected == stock.rejected
         assert np.array_equal(lazy.ordering, stock.ordering)
@@ -309,7 +309,7 @@ class TestIncrementalAdmission:
         window_filter = params["window_filter"]
         outcome = incremental_feasibility(
             jobset, _fresh_test(jobset, equation, window_filter))
-        stock = opdca_admission(
+        stock = stock_opdca_admission(
             jobset, equation,
             test=_fresh_test(jobset, equation, window_filter))
         if stock.rejected:

@@ -15,6 +15,11 @@ Two families of invariants pin the tentpole fast paths down:
   path) must return identical feasibility, priorities, assignment
   order and failure diagnostics to the stock per-level batch loop on
   random job sets, including infeasible ones.
+* **Admission equivalence** -- :func:`repro.core.admission.\
+opdca_admission` (the driver with ``discard=True``) and the online
+  cold controller (the driver in stock mode) must reproduce the stock
+  per-level admission loop, kept here as :func:`stock_opdca_admission`,
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.admission import (
+    AdmissionResult,
+    _frontier_admission,
+    _StockExcessLevels,
+    opdca_admission,
+)
 from repro.core.dca import ALL_EQUATIONS, DelayAnalyzer
 from repro.core.opa import audsley, audsley_frontier
 from repro.core.schedulability import SDCA, Policy
@@ -208,6 +219,83 @@ class TestKernelEquivalence:
             DelayAnalyzer(jobset, kernel="blas")
 
 
+def stock_opdca_admission(jobset,
+                          policy: "str | Policy" = Policy.PREEMPTIVE, *,
+                          test: SDCA | None = None) -> AdmissionResult:
+    """Oracle: the stock per-level admission loop (every level
+    evaluated in full, eager closing delays), kept verbatim from the
+    controller's former implementation.
+
+    Runs OPDCA as an admission controller.
+
+    Follows Algorithm 1 with the modified Step 10: when no unassigned
+    job is feasible at the current priority level, discard the
+    unassigned job with the largest ``Delta_i - D_i`` (computed with all
+    other unassigned jobs as higher priority and the already-assigned
+    jobs as lower priority) and retry the level.
+    """
+    if test is None:
+        test = SDCA(jobset, policy)
+    n = jobset.num_jobs
+    deadlines = jobset.D
+
+    active = np.ones(n, dtype=bool)
+    unassigned = np.ones(n, dtype=bool)
+    assigned_lower = np.zeros(n, dtype=bool)
+    priority = np.zeros(n, dtype=np.int64)
+    rejected: list[int] = []
+    order_low_to_high: list[int] = []
+
+    while unassigned.any():
+        level = int(unassigned.sum())
+        # One vectorised call evaluates every candidate of this level
+        # (higher = unassigned minus self, lower = assigned so far)
+        # through the analyzer's level kernel -- the paired
+        # contribution matrices by default, bitwise identical to the
+        # broadcast tensor path.
+        delays = test.level_delays(unassigned, assigned_lower,
+                                   active=active)
+        placed = None
+        excesses: list[tuple[float, int]] = []
+        for i in np.flatnonzero(unassigned):
+            i = int(i)
+            excess = float(delays[i]) - float(deadlines[i])
+            if excess <= 1e-9:
+                placed = i
+                break
+            excesses.append((excess, i))
+        if placed is not None:
+            priority[placed] = level
+            unassigned[placed] = False
+            assigned_lower[placed] = True
+            order_low_to_high.append(placed)
+            continue
+        # Modified Step 10: discard the worst offender and retry.
+        worst_excess, worst_job = max(excesses)
+        rejected.append(worst_job)
+        active[worst_job] = False
+        unassigned[worst_job] = False
+
+    # Re-number the assigned priorities contiguously (1..#accepted).
+    accepted = [int(i) for i in np.flatnonzero(active)]
+    final_priority = np.zeros(n, dtype=np.int64)
+    for rank, job in enumerate(reversed(order_low_to_high), start=1):
+        final_priority[job] = rank
+
+    delays = np.full(n, np.nan)
+    if accepted:
+        sub_priority = np.where(final_priority > 0, final_priority, n + 1)
+        x = (sub_priority[:, None] < sub_priority[None, :])
+        x[~active, :] = False
+        x[:, ~active] = False
+        all_delays = test.analyzer.delays_for_pairwise(
+            x, equation=test.equation, active=active)
+        delays[active] = all_delays[active]
+
+    return AdmissionResult(accepted=accepted, rejected=rejected,
+                           ordering=final_priority, delays=delays)
+
+
 class _StockKernelRun:
     """Stock per-level batch Audsley via ``audsley(batch_test=...)``."""
 
@@ -275,3 +363,78 @@ class TestFrontierEquivalence:
         assert frontier.feasible == stock.feasible
         assert (frontier.priority == stock.priority).all()
         assert frontier.order == stock.order
+
+
+class TestAdmissionOracle:
+    """``opdca_admission`` and the cold stock adapter against the
+    stock per-level loop: ``accepted``, ``rejected``, ``ordering`` and
+    ``delays`` (``nan`` included), bitwise."""
+
+    @staticmethod
+    def _case(params, equation):
+        if equation in ("eq1", "eq2"):
+            return random_single_resource_jobset(
+                seed=params["seed"], num_jobs=params["num_jobs"],
+                num_stages=params["num_stages"],
+                preemptive=equation == "eq1", max_offset=5.0)
+        if equation == "eq10":
+            params = dict(params, num_stages=3)
+        return build(params)
+
+    @staticmethod
+    def _assert_same(result, oracle):
+        assert result.accepted == oracle.accepted
+        assert result.rejected == oracle.rejected
+        assert np.array_equal(result.ordering, oracle.ordering)
+        assert np.array_equal(result.delays, oracle.delays,
+                              equal_nan=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=instances, equation=st.sampled_from(ALL_EQUATIONS),
+           kernel=st.sampled_from(("paired", "reference")),
+           window_filter=st.booleans())
+    def test_opdca_admission_matches_oracle(self, params, equation,
+                                            kernel, window_filter):
+        jobset = self._case(params, equation)
+
+        def test():
+            return SDCA(jobset, equation, analyzer=DelayAnalyzer(
+                jobset, kernel=kernel, window_filter=window_filter))
+
+        self._assert_same(opdca_admission(jobset, equation, test=test()),
+                          stock_opdca_admission(jobset, equation,
+                                                test=test()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case_seed=st.integers(0, 200),
+           equation=st.sampled_from(("eq5", "eq6", "eq10")),
+           gamma=st.sampled_from((1.0, 1.4, 2.0)))
+    def test_opdca_admission_matches_oracle_on_edge_cases(
+            self, case_seed, equation, gamma):
+        """Congested edge workloads: long discard cascades."""
+        jobset = generate_edge_case(
+            EdgeWorkloadConfig(num_jobs=12, num_aps=4, num_servers=3,
+                               gamma=gamma),
+            seed=case_seed).jobset
+        self._assert_same(opdca_admission(jobset, equation),
+                          stock_opdca_admission(jobset, equation))
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=instances, equation=st.sampled_from(ALL_EQUATIONS))
+    def test_cold_stock_adapter_matches_oracle(self, params, equation):
+        """The online cold controller: same result as the oracle, and
+        every level is evaluated in full, as the stock loop does."""
+        jobset = self._case(params, equation)
+        rows_seen = []
+
+        class Recording(_StockExcessLevels):
+            def delays_rows(self, rows, unassigned, assigned_lower):
+                rows_seen.append(
+                    np.array_equal(rows, np.flatnonzero(unassigned)))
+                return super().delays_rows(rows, unassigned,
+                                           assigned_lower)
+
+        cold = _frontier_admission(jobset, SDCA(jobset, equation),
+                                   discard=True, adapter=Recording)
+        self._assert_same(cold, stock_opdca_admission(jobset, equation))
+        assert len(rows_seen) == jobset.num_jobs and all(rows_seen)

@@ -89,6 +89,12 @@ class TestGeneratedCase:
     def test_system_heaviness_within_gamma(self, case):
         assert system_heaviness(case.jobset) <= case.config.gamma + 1e-9
 
+    def test_system_heaviness_is_cached_bitwise(self, case):
+        """Computed once, by the generator's invariant check, and
+        equal to the function's value bit for bit."""
+        assert "system_heaviness" in vars(case)
+        assert case.system_heaviness == system_heaviness(case.jobset)
+
     def test_heavy_fraction_counts(self, case):
         mask = heavy_mask(case.jobset, case.config.beta)
         expected = [round(f * 100) for f in case.config.heavy_fractions]

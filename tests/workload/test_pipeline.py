@@ -99,6 +99,8 @@ class TestGeneration:
         h = heaviness_matrix(case.jobset)
         assert (h < 2 * config.beta + 1e-9).all()
         assert system_heaviness(case.jobset) <= config.gamma + 1e-9
+        assert "system_heaviness" in vars(case)
+        assert case.system_heaviness == system_heaviness(case.jobset)
         for j, (lo, hi) in enumerate(config.ranges()):
             column = case.jobset.P[:, j]
             assert (column >= lo - 1e-9).all()
