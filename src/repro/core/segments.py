@@ -143,14 +143,17 @@ class SegmentCache:
         (Eqs. 1-2): ``pq[i, k, j] = P[k, j]`` when ``J_k`` overlaps
         ``J_i`` or ``k == i``, else 0.
     ``epq_s`` / ``epb_s`` / ``pq_s`` / ``pb_s``
-        Stage-major views of the four tensors above: ``(N, n, n)``
+        Stage-major twins of the four tensors above: ``(N, n, n)``
         C-contiguous, so one *stage plane* ``epq_s[j]`` is a single
         contiguous ``(n, n)`` read.  The per-stage column-masked
         row-max of the paired level kernel walks stages in its outer
         loop; on the job-major layout each stage slice strides by
         ``N`` and pulls the whole tensor through cache once per
         stage, which is what made the paired kernel *lose* to the
-        reference path at large ``n``.  Same values, same lazy
+        reference path at large ``n``.  Each twin is built in one
+        pass straight from ``ep`` (or ``P``), never from its job-major
+        counterpart, so the job-major tensors exist only where they
+        are read (the compiled tier).  Same values, same lazy
         build-once semantics.
     """
 
@@ -225,38 +228,43 @@ class SegmentCache:
     def __getattr__(self, name: str):
         # Only called for attributes not yet materialised.
         if name in _LAZY_PAIR_FIELDS:
-            value = self._build_contribution(name)
+            value = self._build_contribution(name, stage_major=False)
         elif name in _STAGE_MAJOR_FIELDS:
-            value = _stage_major(getattr(self, name[:-2]))
+            value = self._build_contribution(name[:-2], stage_major=True)
         else:
             raise AttributeError(name)
         setattr(self, name, value)
         return value
 
-    def _build_contribution(self, name: str) -> np.ndarray:
-        """Materialise one premasked contribution tensor.
+    def _build_contribution(self, name: str, *,
+                            stage_major: bool) -> np.ndarray:
+        """Materialise one premasked contribution tensor, job-major
+        ``(n, n, N)`` or as its stage-major ``(N, n, n)`` twin.
 
         ``q``-variants include the self diagonal (``J_i`` is always in
         its own ``Q_i``); ``b``-variants exclude it (a job never blocks
         itself).  Both bake in the window-overlap filter, which is why
         the paired kernels of :class:`~repro.core.dca.DelayAnalyzer`
-        only engage when ``window_filter`` is on (the default).
+        only engage when ``window_filter`` is on (the default).  Either
+        layout holds each kept source value or ``0.0``, so a twin is
+        bitwise the transpose of its job-major tensor.
         """
         jobset = self._jobset
-        n = jobset.num_jobs
+        n, num_stages = jobset.num_jobs, jobset.num_stages
         eye = np.eye(n, dtype=bool)
-        base = jobset.overlaps & ~eye
-        if name == "epq":
-            return np.where((base | eye)[:, :, None], self.ep, 0.0)
-        if name == "epb":
-            return np.where(base[:, :, None], self.ep, 0.0)
-        per_job = np.broadcast_to(jobset.P[None, :, :],
-                                  (n, n, jobset.num_stages))
-        if name == "pq":
-            return np.where((base | eye)[:, :, None], per_job, 0.0)
-        if name == "pb":
-            return np.where(base[:, :, None], per_job, 0.0)
-        raise AttributeError(name)
+        keep = jobset.overlaps & ~eye
+        if name in ("epq", "pq"):
+            keep |= eye
+        if name in ("epq", "epb"):
+            source = self.ep
+        else:
+            source = np.broadcast_to(jobset.P[None, :, :],
+                                     (n, n, num_stages))
+        if not stage_major:
+            return np.where(keep[:, :, None], source, 0.0)
+        out = np.zeros((num_stages, n, n))
+        np.copyto(out, source.transpose(2, 0, 1), where=keep[None])
+        return out
 
     def restrict(self, subset: JobSet,
                  indices: "Sequence[int] | np.ndarray") -> "SegmentCache":
@@ -312,16 +320,10 @@ _PAIR_FIELDS = ("ep", "et_sorted", "et_cumsum", "et1", "et2",
 _LAZY_PAIR_FIELDS = ("epq", "epb", "pq", "pb")
 
 #: Stage-major ``(N, n, n)`` contiguous twins of the contribution
-#: tensors, built lazily from the corresponding job-major field (strip
-#: the ``_s`` suffix).  Not pair fields: their leading axis is the
-#: stage, so a sliced cache rebuilds them from its own gathered base
-#: tensor instead of gathering the parent's.
+#: tensors (strip the ``_s`` suffix for the job-major field).  Their
+#: (job, job) axes are the trailing two, so a sliced cache gathers
+#: them from the parent's twin along axes 1 and 2.
 _STAGE_MAJOR_FIELDS = ("epq_s", "epb_s", "pq_s", "pb_s")
-
-
-def _stage_major(tensor: np.ndarray) -> np.ndarray:
-    """C-contiguous stage-major copy of a ``(n, n, N)`` tensor."""
-    return np.ascontiguousarray(tensor.transpose(2, 0, 1))
 
 #: Fields indexed by a single job axis.
 _JOB_FIELDS = ("t_sorted", "t1", "t2")
@@ -344,17 +346,16 @@ class _SlicedSegmentCache(SegmentCache):
         self._idx = idx
 
     def __getattr__(self, name: str):
-        # Only called for attributes not yet materialised.
+        # Only called for attributes not yet materialised.  ``take``
+        # returns C-contiguous gathers, so a stage plane of a sliced
+        # twin is one contiguous read, as on an unsliced cache.
+        idx = self._idx
         if name in _PAIR_FIELDS:
-            idx = self._idx
-            value = getattr(self._parent, name)[idx][:, idx]
+            value = getattr(self._parent, name).take(idx, 0).take(idx, 1)
         elif name in _STAGE_MAJOR_FIELDS:
-            # Transposing the subset's own (gathered) job-major tensor
-            # is cheaper than gathering both trailing axes of the
-            # parent's stage-major twin, and bitwise identical.
-            value = _stage_major(getattr(self, name[:-2]))
+            value = getattr(self._parent, name).take(idx, 1).take(idx, 2)
         elif name in _JOB_FIELDS:
-            value = getattr(self._parent, name)[self._idx]
+            value = getattr(self._parent, name).take(idx, 0)
         else:
             raise AttributeError(name)
         setattr(self, name, value)

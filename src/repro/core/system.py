@@ -336,7 +336,8 @@ class JobSet:
             raise ModelError(
                 f"restrict needs a non-empty 1-d index collection, "
                 f"got shape {idx.shape}")
-        if len({int(i) for i in idx}) != idx.size:
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ModelError("restrict indices must be distinct")
         if (idx < 0).any() or (idx >= self.num_jobs).any():
             raise ModelError(
@@ -345,13 +346,15 @@ class JobSet:
         subset._system = self._system
         # Jobs are remade from the sliced arrays only if asked for.
         subset._jobs = None
-        # The pairwise tensors are recomputed lazily from the sliced
-        # R/A/D on first access -- elementwise comparisons, hence
-        # bitwise identical to slicing the parent's tensors (which may
-        # not even be materialised).
+        # The pairwise tensors are elementwise comparisons, so slicing
+        # the parent's equals recomputing them from the sliced R/A/D.
+        # ``overlaps`` is sliced when the parent already holds it; the
+        # rest are recomputed lazily on first access.
         subset._set_arrays(
             self.P[idx], self.A[idx], self.D[idx], self.R[idx],
             None if self._names is None else self._names[idx])
+        if self._overlaps is not None:
+            subset._overlaps = self._overlaps.take(idx, 0).take(idx, 1)
         return subset
 
     def partition(self, assignment: "Sequence[int] | np.ndarray",

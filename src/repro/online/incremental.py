@@ -180,13 +180,13 @@ class IncrementalAnalyzer:
         mirroring the universe analyzer's ``invalidate_job``
         discipline.
         """
-        key = tuple(sorted(int(i) for i in indices))
+        idx = np.sort(np.asarray(indices, dtype=np.int64))
+        key = tuple(idx.tolist())
         hit = self._subset_memo.get(key)
         if hit is not None:
             self._subset_memo.pop(key)
             self._subset_memo[key] = hit  # refresh the LRU position
             return hit
-        idx = np.asarray(key, dtype=np.int64)
         jobset = self._universe.restrict(idx)
         cache = self._cache.restrict(jobset, idx)
         analyzer = DelayAnalyzer(jobset, cache=cache, kernel=self._kernel)
@@ -337,7 +337,9 @@ def _drop_stage_maxima(planes: np.ndarray, maxima: np.ndarray,
     if not hit.any():
         return
     stages, rows = np.nonzero(hit)
-    new = np.where(mask, planes[stages, rows, :], 0.0).max(axis=1)
+    count, idx = DelayAnalyzer._mask_plan(mask)
+    new = DelayAnalyzer._plane_max(planes[stages, rows, :], mask,
+                                   count, idx)
     drop = maxima[stages, rows] - new
     maxima[stages, rows] = new
     # Rows can repeat across stages: unbuffered scatter accumulation.
@@ -376,26 +378,22 @@ class _ExcessBands:
                  "_bact", "est", "err", "_smax", "_bmax")
 
     def __init__(self, analyzer: DelayAnalyzer, equation: str,
-                 deadlines: np.ndarray, cols: np.ndarray,
-                 active: np.ndarray) -> None:
+                 deadlines: np.ndarray) -> None:
+        """Bands over a whole job set: every job starts unassigned and
+        active, so the per-stage row maxima are unmasked."""
         delta, planes, block = analyzer.band_operands(equation)
         self._delta = delta
         self._planes = planes
         self._block = block
         self._deadlines = deadlines
-        self._cols = cols.copy()
         n = delta.shape[0]
+        self._cols = np.ones(n, dtype=bool)
         self.est = np.zeros(n)
         self.err = np.zeros(n)
-        self._smax = np.empty((planes.shape[0], n))
-        for j in range(planes.shape[0]):
-            self._smax[j] = np.where(self._cols, planes[j], 0.0).max(axis=1)
+        self._smax = planes.max(axis=2)
         if block is not None:
-            self._bact = active.copy()
-            self._bmax = np.empty((block.shape[0], n))
-            for j in range(block.shape[0]):
-                self._bmax[j] = np.where(
-                    self._bact, block[j], 0.0).max(axis=1)
+            self._bact = np.ones(n, dtype=bool)
+            self._bmax = block.max(axis=2)
         else:
             self._bact = None
             self._bmax = None
@@ -509,8 +507,7 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
     level = n
     rows = np.arange(n)
     level_one = exact_rows(rows)
-    bands = _ExcessBands(analyzer, equation, deadlines, unassigned,
-                         active)
+    bands = _ExcessBands(analyzer, equation, deadlines)
     bands.seed(rows, level_one)
     #: Candidates whose bands are still live.  A job classified
     #: certainly feasible leaves the watch for good: float monotonicity
@@ -696,8 +693,7 @@ def _witness_audsley(jobset: JobSet, test: SDCA
         return delays - deadlines[rows]
 
     cand = np.arange(n)
-    bands = _ExcessBands(analyzer, equation, deadlines, unassigned,
-                         active)
+    bands = _ExcessBands(analyzer, equation, deadlines)
     bands.seed(cand, exact_rows(cand))
     order_low_to_high: list[int] = []
     while cand.size:

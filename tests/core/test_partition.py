@@ -10,9 +10,37 @@ from repro.core.partition import (
     partition_assignment,
     separable,
 )
-from repro.core.segments import SegmentCache
+from repro.core.segments import (
+    _JOB_FIELDS,
+    _PAIR_FIELDS,
+    _STAGE_MAJOR_FIELDS,
+    SegmentCache,
+)
 from repro.core.system import JobSet
 from repro.workload.random_jobs import RandomInstanceConfig, random_jobset
+
+#: Every array field of a segment cache, the lazy contribution tensors
+#: and their stage-major twins included.
+CACHE_FIELDS = _PAIR_FIELDS + _STAGE_MAJOR_FIELDS + _JOB_FIELDS
+
+
+def assert_cache_bitwise(warm: SegmentCache, cold: SegmentCache) -> None:
+    """Every field of ``warm`` holds exactly ``cold``'s bytes (so
+    ``-0.0`` and ``nan`` payloads count), and every stage-major twin
+    is C-contiguous."""
+    for name in CACHE_FIELDS:
+        a, b = getattr(warm, name), getattr(cold, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    for name in _STAGE_MAJOR_FIELDS:
+        assert getattr(warm, name).flags.c_contiguous, name
+        assert getattr(cold, name).flags.c_contiguous, name
+
+
+def warm_twins(cache: SegmentCache) -> None:
+    """Materialise every stage-major twin of ``cache``."""
+    for name in _STAGE_MAJOR_FIELDS:
+        getattr(cache, name)
 
 
 def _jobset(n=12, *, resources=4, seed=0):
@@ -137,18 +165,53 @@ class TestJobSetPartition:
 class TestSegmentCachePartition:
     def test_sliced_caches_match_recomputed(self):
         jobset = _jobset(n=12, resources=4, seed=4)
-        cache = SegmentCache(jobset)
         assignment = np.array([i % 3 for i in range(12)])
         parts = jobset.partition(assignment, num_shards=3)
-        caches = cache.partition(parts)
-        for (indices, sub), sliced in zip(parts, caches):
-            if sub is None:
-                assert sliced is None
-                continue
-            fresh = SegmentCache(sub)
-            assert np.array_equal(sliced.ep, fresh.ep)
-            assert np.array_equal(sliced.W, fresh.W)
-            assert np.array_equal(sliced.t1, fresh.t1)
+        for parent_twins in (False, True):
+            cache = SegmentCache(jobset)
+            if parent_twins:
+                warm_twins(cache)
+            for (indices, sub), sliced in zip(parts,
+                                              cache.partition(parts)):
+                if sub is None:
+                    assert sliced is None
+                    continue
+                assert_cache_bitwise(sliced, SegmentCache(sub))
+
+    @pytest.mark.parametrize("parent_twins", (False, True))
+    def test_subsets_of_shards_match_recomputed(self, parent_twins):
+        """Universe -> shard -> subset: a twice-sliced cache gathers
+        its twins from the shard's, which gathers from the
+        universe's."""
+        jobset = _jobset(n=16, resources=4, seed=6)
+        cache = SegmentCache(jobset)
+        if parent_twins:
+            warm_twins(cache)
+        parts = jobset.partition(np.arange(16) % 2, num_shards=2)
+        for (indices, shard), shard_cache in zip(parts,
+                                                 cache.partition(parts)):
+            if parent_twins:
+                warm_twins(shard_cache)
+            local = np.array([0, 2, 3, 6])
+            subset = shard.restrict(local)
+            sliced = shard_cache.restrict(subset, local)
+            cold = SegmentCache(JobSet(
+                jobset.system, [jobset.jobs[int(i)]
+                                for i in indices[local]]))
+            assert_cache_bitwise(sliced, cold)
+            assert_cache_bitwise(shard_cache, SegmentCache(shard))
+
+    def test_unsliced_twins_are_transposed_job_major(self):
+        """Twins are built natively from ``ep``/``P``, not by
+        transposing: they must still be the job-major tensors'
+        transposes, byte for byte."""
+        cache = SegmentCache(_jobset(n=10, resources=2, seed=8))
+        for name in _STAGE_MAJOR_FIELDS:
+            twin = getattr(cache, name)  # before its job-major field
+            job_major = getattr(cache, name[:-2])
+            expected = np.ascontiguousarray(job_major.transpose(2, 0, 1))
+            assert twin.flags.c_contiguous, name
+            assert twin.tobytes() == expected.tobytes(), name
 
     def test_partition_mirrors_jobset_shape(self):
         jobset = _jobset(n=6, resources=4)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dca import DelayAnalyzer
+from repro.core.intervals import overlap_matrix
 from repro.core.schedulability import SDCA
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
@@ -29,6 +30,7 @@ from repro.online.streams import (
     generate_stream,
 )
 from repro.workload.random_jobs import RandomInstanceConfig, random_jobset
+from tests.core.test_partition import assert_cache_bitwise, warm_twins
 from tests.properties.test_property_kernels import stock_opdca_admission
 
 
@@ -46,10 +48,25 @@ class TestRestrict:
         warm = universe.restrict(idx)
         cold = JobSet(universe.system,
                       [universe.jobs[int(i)] for i in idx])
-        for name in ("P", "A", "D", "R", "shares", "overlaps"):
-            assert np.array_equal(getattr(warm, name),
-                                  getattr(cold, name)), name
+        for name in ("P", "A", "D", "R", "shares", "overlaps",
+                     "conflicts"):
+            assert getattr(warm, name).tobytes() == \
+                getattr(cold, name).tobytes(), name
         assert warm.jobs == cold.jobs
+
+    @pytest.mark.parametrize("parent_overlaps", (False, True))
+    def test_sliced_overlaps_match_recomputed(self, parent_overlaps):
+        """A subset slices its parent's ``overlaps`` when the parent
+        holds it (nested too); either way it equals recomputing."""
+        universe = _universe(6, num_jobs=16)
+        if parent_overlaps:
+            universe.overlaps
+        shard = universe.restrict(np.arange(1, 16, 2))
+        subset = shard.restrict([0, 3, 4, 7])
+        for sliced in (shard, subset):
+            assert (sliced._overlaps is not None) == parent_overlaps
+            expected = overlap_matrix(sliced.A, sliced.D)
+            assert sliced.overlaps.tobytes() == expected.tobytes()
 
     def test_segment_cache_restrict_is_bitwise_cold(self):
         universe = _universe(1)
@@ -59,10 +76,27 @@ class TestRestrict:
         cold = SegmentCache(
             JobSet(universe.system,
                    [universe.jobs[int(i)] for i in idx]))
-        for name in ("ep", "et_sorted", "et_cumsum", "et1", "et2",
-                     "m", "u", "v", "w", "W", "t_sorted", "t1", "t2"):
-            assert np.array_equal(getattr(warm, name),
-                                  getattr(cold, name)), name
+        assert_cache_bitwise(warm, cold)
+
+    @pytest.mark.parametrize("parent_twins", (False, True))
+    def test_nested_restrict_is_bitwise_cold(self, parent_twins):
+        """Universe -> shard -> subset, the online engine's nesting,
+        with every parent twin already materialised or not."""
+        universe = _universe(7, num_jobs=16)
+        cache = SegmentCache(universe)
+        shard_idx = np.array([0, 1, 4, 5, 8, 9, 12, 13, 15])
+        shard = universe.restrict(shard_idx)
+        shard_cache = cache.restrict(shard, shard_idx)
+        if parent_twins:
+            warm_twins(cache)
+            warm_twins(shard_cache)
+        local = np.array([1, 2, 5, 8])
+        subset = shard.restrict(local)
+        warm = shard_cache.restrict(subset, local)
+        cold = SegmentCache(JobSet(
+            universe.system,
+            [universe.jobs[int(i)] for i in shard_idx[local]]))
+        assert_cache_bitwise(warm, cold)
 
     def test_restrict_validates_indices(self):
         from repro.core.exceptions import ModelError

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.online.engine import OnlineScenarioSpec
+from repro.online.engine import (
+    EVENT_ARRIVE,
+    OnlineScenarioSpec,
+    stream_events,
+)
 from repro.online.streams import StreamConfig
 from repro.serve.tenants import (
     ServeError,
@@ -211,3 +218,46 @@ class TestTenantManager:
         manager.create("a", spec())
         with pytest.raises(ServeError, match="limit"):
             manager.create("b", spec())
+
+
+#: Congested enough to park decisions in every cell's memo, with four
+#: resources per stage so the stream can be split over four shards.
+CONGESTED = StreamConfig(
+    horizon=30.0, rate=1.3, dwell_scale=2.0, pool_size=24,
+    workload=RandomInstanceConfig(resources_per_stage=4))
+
+
+class TestMemoryRelease:
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_deleted_tenant_needs_no_cyclic_gc(self, shards):
+        """With the cyclic collector off, deleting a tenant that
+        served a congested stream frees every cell's analyzer and the
+        universe segment cache at once, and a collection afterwards
+        finds no unreachable ``repro`` object."""
+        manager = TenantManager()
+        gc.collect()
+        gc.disable()
+        try:
+            tenant = manager.create("t", spec(stream=CONGESTED,
+                                              shards=shards))
+            for now, kind, uid in stream_events(tenant.stream):
+                tenant.process(
+                    "arrive" if kind == EVENT_ARRIVE else "depart",
+                    uid, now)
+            cells = tenant.engine.cells
+            parked = sum(len(cell._decision_memo) for cell in cells)
+            refs = [weakref.ref(cell.incremental) for cell in cells]
+            refs.append(weakref.ref(tenant.engine._cache))
+            del tenant, cells
+            manager.delete("t")
+            assert parked
+            assert all(ref() is None for ref in refs)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage
+                      if type(obj).__module__.startswith("repro.")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
