@@ -20,17 +20,24 @@ and schedule each stage independently.  Following the paper:
   dominate every analytical test, contradicting Figure 4; the
   decomposition's whole point -- and weakness -- is that each stage
   must fit its budget.)
+
+Budget release decouples the stages completely, so each stage is a
+set of independent single-resource fixed-priority schedules:
+:func:`fixed_priority_finish` runs them directly, with finish times
+bitwise equal to :class:`~repro.sim.engine.PipelineSimulator` on the
+single-stage sub-problem (the tests keep the simulator as the oracle).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.system import JobSet, MSMRSystem, Stage
+from repro.core.system import JobSet, _check_job_rows
 from repro.sim.engine import PipelineSimulator
-from repro.sim.metrics import SimulationResult
+from repro.sim.metrics import TIME_TOLERANCE, SimulationResult
 from repro.sim.policies import PerStagePolicy
 from repro.workload.heaviness import resource_heaviness
 
@@ -42,20 +49,26 @@ class DCMPResult:
     feasible: bool
     virtual_deadlines: np.ndarray
     rank: np.ndarray
-    simulation: SimulationResult
+    #: ``(n, N)`` completion time of every job at every stage.
+    stage_finish: np.ndarray
     #: ``(n, N)`` bool: stage completions violating the cumulative
     #: virtual deadlines.
-    stage_misses: np.ndarray = None
+    stage_misses: np.ndarray
+    jobset: JobSet
+    #: The pipeline simulation (``release="immediate"`` only).
+    simulation: "SimulationResult | None" = None
 
     @property
     def delays(self) -> np.ndarray:
-        return self.simulation.delays
+        """End-to-end delays: last-stage finish time minus arrival."""
+        return self.stage_finish[:, -1] - self.jobset.A
 
     @property
     def end_to_end_feasible(self) -> bool:
         """Whether plain end-to-end deadlines were met (a weaker
         criterion than the per-stage budgets DCMP is judged on)."""
-        return self.simulation.all_met
+        return not bool(
+            (self.delays > self.jobset.D + TIME_TOLERANCE).any())
 
 
 def virtual_deadlines(jobset: JobSet) -> np.ndarray:
@@ -107,43 +120,80 @@ def dcmp(jobset: JobSet, *,
     virtual = virtual_deadlines(jobset)
     rank = stage_ranks(virtual)
     budgets = jobset.A[:, None] + np.cumsum(virtual, axis=1)
+    simulation = None
     if release == "immediate":
-        simulator = PipelineSimulator(jobset, PerStagePolicy(rank),
-                                      preemptive=preemptive)
-        result = simulator.run()
-        stage_misses = result.stage_finish_times() > budgets + 1e-9
-        return DCMPResult(feasible=not bool(stage_misses.any()),
-                          virtual_deadlines=virtual, rank=rank,
-                          simulation=result, stage_misses=stage_misses)
-    # Budget release: simulate each stage as an independent
-    # single-stage system whose jobs arrive at the budget boundary.
-    stage_misses = np.zeros((jobset.num_jobs, jobset.num_stages),
-                            dtype=bool)
-    last_result = None
-    for j in range(jobset.num_stages):
-        stage_jobset = _stage_subproblem(jobset, j, budgets, virtual)
-        flags = ([preemptive[j]] if preemptive is not None
-                 else [jobset.system.stages[j].preemptive])
-        simulator = PipelineSimulator(
-            stage_jobset, PerStagePolicy(rank[:, j:j + 1]),
-            preemptive=flags)
-        last_result = simulator.run()
-        stage_misses[:, j] = \
-            last_result.finish_times > budgets[:, j] + 1e-9
+        simulation = PipelineSimulator(jobset, PerStagePolicy(rank),
+                                       preemptive=preemptive).run()
+        stage_finish = simulation.stage_finish_times()
+    else:
+        # Budget release: each stage is an independent single-stage
+        # system whose jobs arrive at the budget boundary.
+        if preemptive is None:
+            preemptive = jobset.system.preemptive_flags
+        releases = budgets - virtual
+        stage_finish = np.empty((jobset.num_jobs, jobset.num_stages))
+        for j in range(jobset.num_stages):
+            # The single-stage job set of the decomposition must be a
+            # valid one: a stage with a zero processing time is not.
+            _check_job_rows(jobset.P[:, j:j + 1],
+                            np.maximum(virtual[:, j], 1e-9),
+                            jobset.R[:, j:j + 1])
+            stage_finish[:, j] = fixed_priority_finish(
+                releases[:, j], jobset.P[:, j], jobset.R[:, j],
+                rank[:, j], preemptive[j])
+    stage_misses = stage_finish > budgets + 1e-9
     return DCMPResult(feasible=not bool(stage_misses.any()),
                       virtual_deadlines=virtual, rank=rank,
-                      simulation=last_result, stage_misses=stage_misses)
+                      stage_finish=stage_finish,
+                      stage_misses=stage_misses, jobset=jobset,
+                      simulation=simulation)
 
 
-def _stage_subproblem(jobset: JobSet, stage: int, budgets: np.ndarray,
-                      virtual: np.ndarray) -> JobSet:
-    """Single-stage job set for the budget-release DCMP variant."""
-    source = jobset.system.stages[stage]
-    system = MSMRSystem([Stage(num_resources=source.num_resources,
-                               preemptive=source.preemptive,
-                               name=source.name)])
-    releases = (budgets[:, stage] - virtual[:, stage])
-    return JobSet.from_arrays(
-        system, jobset.P[:, stage:stage + 1],
-        np.maximum(virtual[:, stage], 1e-9),
-        jobset.R[:, stage:stage + 1], A=releases)
+def fixed_priority_finish(release: np.ndarray, processing: np.ndarray,
+                          resource: np.ndarray, rank: np.ndarray,
+                          preemptive: bool) -> np.ndarray:
+    """Finish times of one stage's jobs, each resource scheduled by
+    fixed priority on its own.
+
+    Job ``i`` is released at ``release[i]``, needs ``processing[i]``
+    on resource ``resource[i]`` and has priority ``rank[i]`` (lower
+    is higher, ties to the lower index).  The loop replays
+    :class:`~repro.sim.engine.PipelineSimulator` on the single-stage
+    job set, float operation for float operation: all events of an
+    instant are absorbed before the dispatch, a preempted job keeps
+    ``remaining - (now - start)`` of its work, and a job completes at
+    ``start + remaining``.
+    """
+    release_of = release.tolist()
+    work = processing.tolist()
+    key = list(zip(rank.tolist(), range(len(work))))
+    finish = np.empty(len(work))
+    # Per resource, jobs by release time (ties in index order).
+    order = np.lexsort((release, resource))
+    bounds = np.flatnonzero(np.diff(resource[order])) + 1
+    for jobs in np.split(order, bounds):
+        jobs = jobs.tolist()
+        ready: list[tuple] = []
+        running = None
+        start = done = 0.0
+        pos, count = 0, len(jobs)
+        while pos < count or running is not None:
+            now = release_of[jobs[pos]] if pos < count else np.inf
+            if running is not None and done <= now:
+                now = done
+                finish[running] = done
+                running = None
+            while pos < count and release_of[jobs[pos]] == now:
+                heapq.heappush(ready, key[jobs[pos]])
+                pos += 1
+            if not ready:
+                continue
+            if running is not None:
+                if not preemptive or ready[0][0] >= key[running][0]:
+                    continue
+                work[running] -= now - start
+                heapq.heappush(ready, key[running])
+            running = heapq.heappop(ready)[1]
+            start = now
+            done = now + work[running]
+    return finish

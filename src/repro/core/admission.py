@@ -132,8 +132,11 @@ class _ExcessLevels:
 
     Unlike :class:`~repro.core.schedulability.AudsleyLevelKernel`
     (OPDCA's ``D + DEADLINE_TOLERANCE`` rule over absolute bounds),
-    excess-lower-bound pruning is enabled for the float-monotone
-    equations only (:meth:`removal_caps`)."""
+    the values are bounds minus ``value_offset = D``, so the driver
+    scales the safety margin of its carried lower and upper bounds by
+    ``|excess| + D_i``, the size of the bound itself.  Excess-lower-
+    bound pruning (:meth:`removal_caps`) serves every OPA-compatible
+    equation, ``eq10`` included."""
 
     def __init__(self, jobset: JobSet, test: SDCA) -> None:
         n = jobset.num_jobs
@@ -145,9 +148,10 @@ class _ExcessLevels:
         self.monotone = test.opa_compatible
         self.float_monotone = test.equation in FLOAT_MONOTONE_EQUATIONS
         self.deadline_tol = np.full(n, 1e-9)
+        self.value_offset = jobset.D
 
     def removal_caps(self) -> "np.ndarray | None":
-        if not self.float_monotone:
+        if not self.monotone:
             return None
         return self._analyzer.removal_caps()
 

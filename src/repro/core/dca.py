@@ -136,7 +136,10 @@ LOWER_AWARE_EQUATIONS = frozenset({"eq2", "eq4", "eq10"})
 #: excluded: its non-preemptive downlink term maximises over the
 #: *growing* lower-priority set, so its net bound is only monotone in
 #: exact arithmetic.  The online admission engine skips per-level
-#: re-verification of carried feasibility exactly for this set.
+#: re-verification of carried feasibility exactly for this set; the
+#: frontier driver (:func:`repro.core.opa.audsley_frontier`) skips it
+#: for ``eq10`` only when a carried bound clears its threshold by a
+#: safety margin.
 FLOAT_MONOTONE_EQUATIONS = frozenset({"eq1", "eq3", "eq5", "eq6"})
 
 MaskLike = "np.ndarray | Iterable[int]"

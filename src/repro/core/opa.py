@@ -26,9 +26,11 @@ Two engines are provided:
   *below* the carried feasible frontier (exactly the ones the stock
   scan would have to reject before placing), and the frontier
   placement itself is free for the float-monotone bounds
-  (:data:`~repro.core.dca.FLOAT_MONOTONE_EQUATIONS`) or one fused
-  probe for ``eq10``.  Decisions are identical to the stock batch
-  loop -- the laziness only decides how much work is skipped.  With
+  (:data:`~repro.core.dca.FLOAT_MONOTONE_EQUATIONS`), and for
+  ``eq10`` whenever the candidate's carried value plus a safety
+  margin clears its threshold (one fused probe otherwise).
+  Decisions are identical to the stock batch loop -- the laziness
+  only decides how much work is skipped.  With
   ``discard=True`` it runs the admission controller's modified
   Step 10 (discard the worst offender, go on): it is the only
   admission loop, behind :func:`repro.core.admission.opdca_admission`
@@ -186,7 +188,10 @@ def audsley_frontier(num_jobs: int, kernel, *,
     ``float_monotone`` and the per-job threshold vector
     ``deadline_tol`` (see
     :class:`~repro.core.schedulability.AudsleyLevelKernel`), plus
-    ``discard(j)`` when run with ``discard=True``.
+    ``discard(j)`` when run with ``discard=True``.  It may expose
+    ``removal_caps()`` (lower-bound pruning) and a per-job
+    ``value_offset`` (default 0), the amount its values sit below the
+    delay bounds, which scales the safety margin of carried values.
 
     The returned :class:`OPAResult` -- feasibility, priorities,
     assignment order and failure diagnostics -- is identical to
@@ -203,13 +208,15 @@ def audsley_frontier(num_jobs: int, kernel, *,
       otherwise places the frontier candidate itself:
       unconditionally for float-monotone tests (zeroing masked
       operands under numpy's fixed-length pairwise reductions can
-      never increase a value, ulp for ulp), after one fused probe for
-      ``eq10`` (monotone in exact arithmetic only), with a full
-      re-evaluation as the ulp-level fallback;
+      never increase a value, ulp for ulp); for ``eq10`` (monotone in
+      exact arithmetic only) when its last evaluated value plus the
+      safety margin clears its threshold, else after one fused probe,
+      with a full re-evaluation as the ulp-level fallback;
     * once every remaining candidate of a level is verified feasible
-      under a float-monotone test, the rest of the trajectory is fully
-      determined (stock always places the lowest-indexed feasible
-      candidate) and is emitted with no further evaluation;
+      -- under a float-monotone test, or with every value clearing
+      the safety margin under ``eq10`` -- the rest of the trajectory
+      is fully determined (stock always places the lowest-indexed
+      feasible candidate) and is emitted with no further evaluation;
     * non-OPA-compatible tests (``eq2``/``eq4``) evaluate every level
       in full -- bit-for-bit the stock loop.
 
@@ -247,28 +254,42 @@ def audsley_frontier(num_jobs: int, kernel, *,
     #: context of this run; monotonicity keeps them feasible.
     feasible: set[int] = set()
 
-    # Sound per-candidate lower bounds on the *current* delay bound
-    # (monotone tests only): placing job ``p`` can lower a candidate's
-    # bound by at most ``caps[:, p]``, so an evaluated bound stays a
-    # valid lower bound across placements once each cap -- padded by a
+    # Evaluated values are carried across placements, padded by a
     # safety margin orders of magnitude above the ~1e-11 relative
-    # float error of the kernels -- is subtracted.  Candidates whose
-    # lower bound still exceeds their deadline are *provably*
-    # infeasible and skipped without evaluation; anything inside the
-    # safety band is evaluated exactly, so decisions never depend on
-    # the bound, only the amount of skipped work does.
+    # float error of the kernels, which scales with the delay bound
+    # (``|value| + value_offset``).  A candidate inside the margin is
+    # evaluated exactly, so decisions never depend on it.
+    # * Lower bounds (monotone tests): placing job ``p`` can lower a
+    #   candidate's bound by at most ``caps[:, p]``; a candidate whose
+    #   value minus the margin and the caps of later removals still
+    #   fails is provably infeasible and skipped.
+    # * Upper bounds (``eq10``, monotone in exact arithmetic only): a
+    #   removal never raises the exact bound, so a carried candidate
+    #   whose value plus the margin passes needs no probe.
     caps = kernel.removal_caps() if hasattr(kernel, "removal_caps") \
         else None
+    offset = getattr(kernel, "value_offset", np.zeros(num_jobs))
     lower_bound: "np.ndarray | None" = None
+    upper_bound = (np.full(num_jobs, np.inf)
+                   if monotone and not float_monotone else None)
     _SAFETY = 1e-7
 
     def remember(rows: np.ndarray, delays: np.ndarray) -> None:
         nonlocal lower_bound
-        if caps is None:
+        if caps is None and upper_bound is None:
             return
-        if lower_bound is None:
-            lower_bound = np.full(num_jobs, -np.inf)
-        lower_bound[rows] = delays - (_SAFETY + 1e-9 * np.abs(delays))
+        margin = _SAFETY + 1e-9 * (np.abs(delays) + offset[rows])
+        if caps is not None:
+            if lower_bound is None:
+                lower_bound = np.full(num_jobs, -np.inf)
+            lower_bound[rows] = delays - margin
+        if upper_bound is not None:
+            upper_bound[rows] = delays + margin
+
+    def clears(rows) -> "np.ndarray | bool":
+        """Whether the carried upper bounds of ``rows`` pass."""
+        return upper_bound is not None and \
+            upper_bound[rows] <= deadline_tol[rows]
 
     def forget(removed: int) -> None:
         nonlocal lower_bound
@@ -299,9 +320,10 @@ def audsley_frontier(num_jobs: int, kernel, *,
                         # frontier for the levels that follow.
                         feasible.update(int(p) for p in passing[1:])
                 if placed is None:
-                    if float_monotone or kernel.probe(
-                            frontier, unassigned,
-                            assigned_lower) <= deadline_tol[frontier]:
+                    if float_monotone or clears(frontier) or \
+                            kernel.probe(frontier, unassigned,
+                                         assigned_lower) \
+                            <= deadline_tol[frontier]:
                         placed = frontier
                     else:
                         # Ulp-level fallback: eq10's carried candidate
@@ -321,13 +343,15 @@ def audsley_frontier(num_jobs: int, kernel, *,
             remember(cands, delays)
             with np.errstate(invalid="ignore"):
                 passing_mask = delays <= deadline_tol[cands]
-            if float_monotone and bool(passing_mask.all()):
-                # Every candidate is feasible and float-exact
-                # monotonicity keeps each of them feasible at every
-                # later level, where stock Audsley always places the
-                # lowest-indexed unassigned candidate: the remaining
-                # trajectory is fully determined -- emit it in one
-                # step, no further evaluation.
+            if bool(passing_mask.all()) and (
+                    float_monotone or bool(np.all(clears(cands)))):
+                # Every candidate is feasible and stays feasible at
+                # every later level (float-exact monotonicity, or an
+                # upper bound that clears the margin), where stock
+                # Audsley always places the lowest-indexed unassigned
+                # candidate: the remaining trajectory is fully
+                # determined -- emit it in one step, no further
+                # evaluation.
                 for candidate in cands:
                     candidate = int(candidate)
                     priority[candidate] = level

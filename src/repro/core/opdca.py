@@ -17,8 +17,9 @@ whole level in ``O(n^2)`` reductions (plus one row-max per stage), and
 the frontier-carrying engine (:func:`repro.core.opa.audsley_frontier`)
 skips the evaluation of every level whose carried frontier candidate
 is still known feasible -- for the float-monotone bounds a feasible
-instance costs one full level evaluation total, and ``eq10`` adds one
-fused ``O(nN)`` probe per level.
+instance costs one full level evaluation total.  ``eq10`` carries each
+candidate's evaluated bound plus a safety margin instead, and spends a
+fused ``O(nN)`` probe only on a carried candidate inside that margin.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ def opdca(jobset: JobSet,
         reached right after a frontier-less reseed) is evaluated in
         full -- O(n^2) contribution-matrix reductions -- while every
         other level rides the carried feasible frontier: free for the
-        float-monotone bounds, one fused O(nN) probe for ``eq10``.
+        float-monotone bounds, and for ``eq10`` unless the carried
+        bound sits within the safety margin of its deadline (then one
+        fused O(nN) probe).
         ``batch=False`` keeps the serial per-candidate scan, used as
         the reference in equivalence tests and the scalability
         benchmark.  The serial and batch paths sum the same terms in

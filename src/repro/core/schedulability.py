@@ -197,7 +197,8 @@ class AudsleyLevelKernel:
     ``probe(i, unassigned, assigned_lower)``
         Single-candidate bound (a one-row slice of the level kernel),
         bitwise identical to the candidate's batch entry -- the cheap
-        re-verification of a carried frontier candidate under ``eq10``.
+        re-verification of a carried frontier candidate whose ``eq10``
+        bound sits within the driver's safety margin of its deadline.
     ``monotone`` / ``float_monotone``
         Whether a candidate once verified feasible stays feasible
         along the assignment trajectory -- in exact arithmetic

@@ -163,8 +163,13 @@ class SegmentCache:
         n, num_stages = jobset.num_jobs, jobset.num_stages
 
         self.ep = np.where(shares, jobset.P[None, :, :], 0.0)
-        self.et_sorted = -np.sort(-self.ep, axis=2)
-        self.et_cumsum = np.cumsum(self.et_sorted, axis=2)
+        self.et_sorted = _sort_descending(self.ep)
+        self.et_cumsum = np.empty_like(self.et_sorted)
+        running = self.et_sorted[..., 0]
+        self.et_cumsum[..., 0] = running
+        for j in range(1, num_stages):
+            running = running + self.et_sorted[..., j]
+            self.et_cumsum[..., j] = running
         self.et1 = self.et_sorted[:, :, 0]
         self.et2 = (self.et_sorted[:, :, 1]
                     if num_stages >= 2 else np.zeros((n, n)))
@@ -172,7 +177,7 @@ class SegmentCache:
         self.m, self.u, self.v = self._segment_counts(shares)
         self.w = self.u + 2 * self.v
 
-        self.t_sorted = -np.sort(-jobset.P, axis=1)
+        self.t_sorted = _sort_descending(jobset.P)
         self.t1 = self.t_sorted[:, 0]
         self.t2 = (self.t_sorted[:, 1]
                    if num_stages >= 2 else np.zeros(n))
@@ -306,6 +311,28 @@ class SegmentCache:
             return 0.0
         count = min(count, self._jobset.num_stages)
         return float(self.et_cumsum[i, k, count - 1])
+
+
+def _sort_descending(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted descending along its last (stage) axis.
+
+    An insertion network of ``np.maximum``/``np.minimum``
+    compare-exchanges over the ``N`` stage planes: a stage axis is a
+    handful of entries long, where ``np.sort`` pays its per-row set-up
+    once per pair.  Each output entry is one of its row's inputs, so
+    the result is bitwise ``-np.sort(-values, axis=-1)`` for the
+    non-negative, non-NaN stage times a job set holds.
+    """
+    planes = [values[..., j] for j in range(values.shape[-1])]
+    for k in range(1, len(planes)):
+        for j in range(k, 0, -1):
+            high, low = planes[j - 1], planes[j]
+            planes[j - 1] = np.maximum(high, low)
+            planes[j] = np.minimum(high, low)
+    out = np.empty(values.shape)
+    for j, plane in enumerate(planes):
+        out[..., j] = plane
+    return out
 
 
 #: Fields of the cache whose leading *two* axes index (job, job).

@@ -85,8 +85,8 @@ def evaluate_case(case: EdgeTestCase, *,
     """Run the selected approaches on one test case.
 
     All analytical approaches share one :class:`DelayAnalyzer` (and thus
-    one segment cache); DCMP runs the discrete-event simulator with the
-    edge pipeline's preemption flags.  ``approaches`` is validated
+    one segment cache); DCMP schedules its budget-released stages with
+    the edge pipeline's preemption flags.  ``approaches`` is validated
     before any of them runs.
 
     OPT is a feasibility problem, so the first assignment that DM, DMR

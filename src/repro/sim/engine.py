@@ -8,8 +8,9 @@ according to its stage -- under any :mod:`repro.sim.policies` policy.
 
 The simulator serves three roles in the reproduction:
 
-* it *is* the DCMP baseline's acceptance test (the paper simulates the
-  decomposed jobs because no analytical test exists for them);
+* it is the DCMP baseline's acceptance test with immediate release
+  (the paper simulates the decomposed jobs because no analytical test
+  exists for them), and the oracle of the budget-release loop;
 * it validates the DCA bounds empirically (simulated delay <= bound for
   total orderings -- ablation A3);
 * it powers the runnable examples (traces, Gantt strips).

@@ -1,9 +1,10 @@
 """Independent validation of simulator traces.
 
 The simulator is itself a substrate the reproduction's conclusions rest
-on (it decides DCMP acceptance and the empirical tightness numbers), so
-this module re-checks a finished :class:`~repro.sim.trace.Trace`
-against the system model *without reusing any simulator logic*:
+on (it is DCMP's acceptance oracle and yields the empirical tightness
+numbers), so this module re-checks a finished
+:class:`~repro.sim.trace.Trace` against the system model *without
+reusing any simulator logic*:
 
 1. **Conservation** -- every job executes exactly ``P_{i,j}`` time at
    each stage, on the one resource it is mapped to, and completes each

@@ -62,6 +62,33 @@ def small_edge_config() -> EdgeWorkloadConfig:
     return EdgeWorkloadConfig(num_jobs=20, num_aps=6, num_servers=5)
 
 
+def figure4_cases(seeds=(0,)) -> list:
+    """The Figure 4 edge job sets as ``pytest.param``s, labelled by
+    point and seed: the twelve points of panels 4a-c, then the six
+    settings of panel 4d, at each case seed."""
+    from repro.experiments.config import (
+        ADMISSION_SETTINGS,
+        BETA_VALUES,
+        GAMMA_VALUES,
+        HEAVY_FRACTION_VALUES,
+    )
+
+    points = [(f"4a/beta={beta:g}", {"beta": beta})
+              for beta in BETA_VALUES]
+    points += [(f"4b/h={list(h)}", {"heavy_fractions": h})
+               for h in HEAVY_FRACTION_VALUES]
+    points += [(f"4c/gamma={gamma:g}", {"gamma": gamma})
+               for gamma in GAMMA_VALUES]
+    points += [(f"4d/{label}", dict(overrides))
+               for label, overrides in ADMISSION_SETTINGS]
+    base = EdgeWorkloadConfig()
+    return [pytest.param(
+                generate_edge_case(base.with_overrides(**overrides),
+                                   seed=seed).jobset,
+                id=f"{label}/seed={seed}")
+            for label, overrides in points for seed in seeds]
+
+
 @pytest.fixture
 def small_edge_jobset(small_edge_config):
     return generate_edge_case(small_edge_config, seed=7).jobset

@@ -164,3 +164,92 @@ class TestFrontierDiscard:
         assert discarding.order == plain.order
         assert discarding.priority.tolist() == plain.priority.tolist()
         assert discarding.rejected == kernel.discarded == []
+
+
+class _LevelTableKernel:
+    """Monotone-in-exact-arithmetic frontier kernel (like ``eq10``):
+    ``table[depth][i]`` is candidate ``i``'s value once ``depth`` jobs
+    are placed; a candidate passes iff its value is at most 1."""
+
+    monotone = True
+    float_monotone = False
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        self.deadline_tol = np.ones(self.table.shape[1])
+        self.probes = []
+
+    def value(self, rows, assigned_lower):
+        return self.table[int(assigned_lower.sum())][rows]
+
+    def delays_rows(self, rows, unassigned, assigned_lower):
+        return self.value(rows, assigned_lower)
+
+    def probe(self, i, unassigned, assigned_lower):
+        self.probes.append(i)
+        return float(self.value(i, assigned_lower))
+
+    def batch_test(self, unassigned, assigned_lower):
+        return self.value(slice(None), assigned_lower) <= 1.0
+
+
+class TestCarriedUpperBound:
+    """A carried candidate is placed without a probe only when its
+    value plus the safety margin clears the threshold."""
+
+    @staticmethod
+    def _assert_stock(result, kernel):
+        stock = audsley(kernel.table.shape[1], lambda *a: False,
+                        batch_test=kernel.batch_test)
+        assert result.feasible == stock.feasible
+        assert result.priority.tolist() == stock.priority.tolist()
+        assert result.order == stock.order
+        assert result.failed_level == stock.failed_level
+        assert result.unassigned == stock.unassigned
+
+    def test_a_bound_inside_the_margin_is_probed(self):
+        # J1 passes at level 3 by less than the margin, then rises
+        # (by less than the margin) above its threshold: the carried
+        # value must not place it.
+        kernel = _LevelTableKernel([[0.5, 1.0 - 1e-12, 0.5],
+                                    [0.5, 1.0 + 1e-12, 0.5],
+                                    [0.5, 1.0 + 1e-12, 0.5]])
+        result = audsley_frontier(3, kernel)
+        assert kernel.probes == [1]
+        assert result.order == [2, 0]
+        assert result.failed_level == 1
+        self._assert_stock(result, kernel)
+
+    def test_a_bound_that_clears_the_margin_is_placed_unprobed(self):
+        # Level 4 places J1 and carries J2; at level 3 J0 still fails
+        # and J2 is placed from its carried value.
+        kernel = _LevelTableKernel([[2.0, 0.5, 0.9, 0.5],
+                                    [2.0, 0.5, 0.9, 0.5],
+                                    [2.0, 0.5, 0.9, 0.5],
+                                    [0.5, 0.5, 0.9, 0.5]])
+        result = audsley_frontier(4, kernel)
+        assert kernel.probes == []
+        assert result.order == [0, 3, 2, 1]
+        self._assert_stock(result, kernel)
+
+    def test_a_full_level_inside_the_margin_is_not_emitted(self):
+        # Every candidate passes at level 3, J2 only by less than the
+        # margin: the trajectory is not emitted blind, and J2's rise
+        # at level 1 is caught.
+        kernel = _LevelTableKernel([[0.5, 0.5, 1.0 - 1e-12],
+                                    [0.5, 0.5, 1.0 - 1e-12],
+                                    [0.5, 0.5, 1.0 + 1e-12]])
+        result = audsley_frontier(3, kernel)
+        assert not result.feasible
+        assert result.failed_level == 1
+        self._assert_stock(result, kernel)
+
+    def test_a_full_level_that_clears_the_margin_is_emitted(self):
+        kernel = _LevelTableKernel([[0.5, 0.5, 0.5]] * 3)
+        calls = []
+        rows_of = kernel.delays_rows
+        kernel.delays_rows = lambda *a: calls.append(a[0]) or rows_of(*a)
+        result = audsley_frontier(3, kernel)
+        assert len(calls) == 1 and kernel.probes == []
+        assert result.order == [2, 1, 0]
+        self._assert_stock(result, kernel)

@@ -172,3 +172,34 @@ class TestSegmentCacheEdgeShapes:
         assert cache.u[0, 1] == 3
         assert cache.v[0, 1] == 0
         assert cache.w[0, 1] == 3
+
+
+class TestSegmentCacheSort:
+    """The stage-plane compare-exchange sort and running sums against
+    the ``np.sort``/``np.cumsum`` reference, bitwise."""
+
+    @pytest.mark.parametrize("num_stages", range(1, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_numpy_reference(self, num_stages, seed):
+        rng = np.random.default_rng(seed)
+        n = 24
+        # Zero times, ties within a row and across rows, and a few
+        # irrational-looking values.
+        P = rng.choice((0.0, 1.0, 1.0, 2.5, 0.1, 7.3), size=(n, num_stages))
+        P[P.sum(axis=1) == 0, 0] = 0.3
+        system = MSMRSystem([Stage(3)] * num_stages)
+        jobset = JobSet.from_arrays(
+            system, P, np.full(n, 100.0),
+            rng.integers(0, 3, size=(n, num_stages)))
+        cache = SegmentCache(jobset)
+        et_sorted = -np.sort(-cache.ep, axis=2)
+        et_cumsum = np.cumsum(et_sorted, axis=2)
+        t_sorted = -np.sort(-jobset.P, axis=1)
+        assert cache.et_sorted.tobytes() == et_sorted.tobytes()
+        assert cache.et_cumsum.tobytes() == et_cumsum.tobytes()
+        assert cache.t_sorted.tobytes() == t_sorted.tobytes()
+        assert cache.et1.tobytes() == et_sorted[:, :, 0].tobytes()
+        assert cache.t1.tobytes() == t_sorted[:, 0].tobytes()
+        if num_stages >= 2:
+            assert cache.et2.tobytes() == et_sorted[:, :, 1].tobytes()
+            assert cache.t2.tobytes() == t_sorted[:, 1].tobytes()

@@ -37,6 +37,7 @@ from repro.core.admission import (
 )
 from repro.core.dca import ALL_EQUATIONS, DelayAnalyzer
 from repro.core.opa import audsley, audsley_frontier
+from repro.core.opdca import opdca
 from repro.core.schedulability import SDCA, Policy
 from repro.workload.edge import EdgeWorkloadConfig, generate_edge_case
 from repro.workload.random_jobs import (
@@ -44,6 +45,7 @@ from repro.workload.random_jobs import (
     random_jobset,
     random_single_resource_jobset,
 )
+from tests.conftest import figure4_cases
 
 #: Equations valid on a general MSMR instance.
 MSMR_EQUATIONS = ("eq3", "eq4", "eq5", "eq6")
@@ -363,6 +365,32 @@ class TestFrontierEquivalence:
         assert frontier.feasible == stock.feasible
         assert (frontier.priority == stock.priority).all()
         assert frontier.order == stock.order
+
+
+class TestEq10FrontierOnFigure4:
+    """``eq10`` on the Figure 4 edge cases: OPDCA against the stock
+    batch loop and the admission controller against the stock
+    admission loop, bitwise.  The driver places carried candidates
+    from their padded values and emits trajectories without probes
+    here, so this pins those skips to the stock decisions."""
+
+    @pytest.mark.parametrize("jobset", figure4_cases((0, 1, 2)))
+    def test_opdca_and_admission_match_the_stock_loops(self, jobset):
+        test = SDCA(jobset, "eq10")
+        stock = audsley(jobset.num_jobs, test.is_schedulable,
+                        batch_test=test.audsley_batch)
+        result = opdca(jobset, test=test).opa
+        assert result.feasible == stock.feasible
+        assert result.priority.tobytes() == stock.priority.tobytes()
+        assert result.order == stock.order
+        assert result.failed_level == stock.failed_level
+        assert result.unassigned == stock.unassigned
+        admitted = opdca_admission(jobset, "eq10")
+        oracle = stock_opdca_admission(jobset, "eq10")
+        assert admitted.accepted == oracle.accepted
+        assert admitted.rejected == oracle.rejected
+        assert admitted.ordering.tobytes() == oracle.ordering.tobytes()
+        assert admitted.delays.tobytes() == oracle.delays.tobytes()
 
 
 class TestAdmissionOracle:
