@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.system import JobSet, _check_job_rows
+from repro.core.system import JobSet
 from repro.sim.engine import PipelineSimulator
 from repro.sim.metrics import TIME_TOLERANCE, SimulationResult
 from repro.sim.policies import PerStagePolicy
@@ -133,11 +133,6 @@ def dcmp(jobset: JobSet, *,
         releases = budgets - virtual
         stage_finish = np.empty((jobset.num_jobs, jobset.num_stages))
         for j in range(jobset.num_stages):
-            # The single-stage job set of the decomposition must be a
-            # valid one: a stage with a zero processing time is not.
-            _check_job_rows(jobset.P[:, j:j + 1],
-                            np.maximum(virtual[:, j], 1e-9),
-                            jobset.R[:, j:j + 1])
             stage_finish[:, j] = fixed_priority_finish(
                 releases[:, j], jobset.P[:, j], jobset.R[:, j],
                 rank[:, j], preemptive[j])

@@ -17,6 +17,16 @@ two-phase :meth:`reserve` / :meth:`commit_reservation` primitives.
 Cells speak *local* job indices: the indices of their own universe.
 Translation from global stream uids to per-shard locals is the shard
 layer's job (:mod:`repro.online.sharded`).
+
+A cell also keeps one *failure core* per parked job
+(:class:`~repro.online.incremental.Outcome`): the stuck set of the
+last controller run that discarded it or refused its retry.  A core
+has no feasible priority order, nor does any superset of it, so a
+retry whose candidate contains the parked job's core is answered
+"infeasible" with no analysis at all.  Cores are recorded only by the
+certified-band route, and only when every member's excess clears the
+tolerance by the bands' seed pad; a core leaves with its job's queue
+slot.
 """
 
 from __future__ import annotations
@@ -33,10 +43,10 @@ from repro.core.system import JobSet
 from repro.online.incremental import (
     IncrementalAnalyzer,
     SubsetAnalysis,
-    admit,
-    admit_trajectory,
+    admit_outcome,
     cold_analysis,
     result_delays,
+    trajectory_outcome,
 )
 
 #: Entry cap of a cell's decision memo (FIFO).
@@ -83,6 +93,10 @@ def _cell_instruments():
         "cache_misses": registry.counter(
             "repro_kernel_cache_misses_total",
             "DelayAnalyzer memo misses inside admission decisions."),
+        "core_hits": registry.counter(
+            "repro_core_hits_total",
+            "All-or-nothing decisions answered by a parked job's "
+            "failure core."),
     }
 
 
@@ -229,6 +243,15 @@ class AdmissionCell:
         self._admitted: set[int] = set()
         self._ranks: dict[int, int] = {}
         self._retry: list[int] = []
+        #: Parked uid -> failure core (frozenset of uids): the stuck
+        #: set of the last run that discarded it or refused its retry.
+        #: Keys stay a subset of the retry queue.
+        self._cores: "dict[int, frozenset]" = {}
+        #: uid -> core proved by the latest decision (the discarded
+        #: jobs of a full run, or the newcomer of a failed
+        #: all-or-nothing run); the event methods keep the parked
+        #: ones.
+        self._proved: "dict[int, frozenset]" = {}
         #: Wall-clock seconds spent inside the admission decision path
         #: (analysis construction + controller), and how many
         #: decisions were taken -- the quantities the BENCH_online
@@ -239,6 +262,7 @@ class AdmissionCell:
         #: :meth:`obs_stats`).
         self.memo_hits = 0
         self.memo_misses = 0
+        self.core_hits = 0
         self.kernel_cache = {"hits": 0, "misses": 0}
         self.outcome_counts = {kind: 0 for kind in CELL_DECISIONS}
         self._obs = _cell_instruments()
@@ -286,7 +310,8 @@ class AdmissionCell:
         ``all_or_nothing`` (the retry / reservation rule) asks only
         whether the whole candidate set fits, returning ``None`` when
         the full controller would reject anyone.  It runs
-        :func:`~repro.online.incremental.admit_trajectory`, so a fit's
+        :func:`~repro.online.incremental.trajectory_outcome`
+        (``admit_trajectory`` plus its failure core), so a fit's
         ordering is the full controller's lowest-index trajectory.
 
         Admission is a pure function of the candidate set over the
@@ -295,20 +320,37 @@ class AdmissionCell:
         unchanged admitted sets (the common congested pattern) are
         answered without any re-analysis at all.  Cold mode is by
         definition stateless across events and always recomputes.
+
+        After the memo, an all-or-nothing question whose candidate
+        contains a parked member's failure core is answered ``None``
+        outright (``core_hits``).  Parked jobs are never admitted, so
+        that member is the newcomer.  The failure cores a run proves
+        are left in ``_proved`` for the event method to keep.
         """
         start = time.perf_counter()
+        self._proved = {}
         try:
             key = (all_or_nothing, tuple(candidate))
             if self._decision_memo is not None and \
                     key in self._decision_memo:
                 self.memo_hits += 1
                 return self._decision_memo[key]
+            if all_or_nothing and self._cores and \
+                    self._core_covered(candidate):
+                self.core_hits += 1
+                self._obs["core_hits"].inc()
+                return None
             self.memo_misses += 1
             analysis = self._analysis(candidate)
             if all_or_nothing:
-                result = admit_trajectory(analysis, mode=self._mode)
+                outcome = trajectory_outcome(analysis, mode=self._mode)
+                failed = [uid for uid in candidate
+                          if uid not in self._admitted]
             else:
-                result = admit(analysis, mode=self._mode)
+                outcome = admit_outcome(analysis, mode=self._mode)
+                failed = [candidate[i] for i in outcome.result.rejected]
+            self._keep_proved(candidate, failed, outcome.cores)
+            result = outcome.result
             stats = analysis.test.analyzer.cache_stats()
             hits = sum(stats["hits"].values())
             misses = sum(stats["misses"].values())
@@ -341,6 +383,30 @@ class AdmissionCell:
             self.decision_count += 1
             self._obs["latency"].observe(elapsed)
 
+    def _core_covered(self, candidate: "list[int]") -> bool:
+        """Whether a candidate member's failure core lies inside the
+        candidate."""
+        members = None
+        for uid in candidate:
+            core = self._cores.get(uid)
+            if core is not None:
+                if members is None:
+                    members = frozenset(candidate)
+                if core <= members:
+                    return True
+        return False
+
+    def _keep_proved(self, candidate: "list[int]", failed: "list[int]",
+                     cores: tuple) -> None:
+        """File a run's failure cores (local indices into
+        ``candidate``, one per stuck level) under the uids that failed
+        there -- the discarded jobs of a full run, the newcomer of an
+        all-or-nothing one -- in ``_proved``."""
+        for uid, core in zip(failed, cores):
+            if core is not None:
+                self._proved[uid] = frozenset(
+                    map(candidate.__getitem__, core.tolist()))
+
     def _commit(self, candidate: "list[int]",
                 result: AdmissionResult) -> "tuple[list[int], int]":
         """Apply an admission outcome; returns (evicted, rank flips)."""
@@ -366,11 +432,20 @@ class AdmissionCell:
         if self._retry_limit == 0:
             return 1, False
         self._retry.append(uid)
+        core = self._proved.get(uid)
+        if core is not None:
+            self._cores[uid] = core
         if len(self._retry) > self._retry_limit:
-            self._retry.pop(0)
+            self._cores.pop(self._retry.pop(0), None)
             return 1, False
         self._obs["retry_depth"].inc()
         return 0, False
+
+    def _unqueue(self, uid: int) -> None:
+        """Take ``uid`` out of the retry queue, with its core."""
+        self._retry.remove(uid)
+        self._cores.pop(uid, None)
+        self._obs["retry_depth"].dec()
 
     def _count(self, decision: str) -> None:
         """Tally one event outcome (cell-local + registry)."""
@@ -383,6 +458,7 @@ class AdmissionCell:
             "decisions": self.decision_count,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "core_hits": self.core_hits,
             "kernel_cache_hits": self.kernel_cache["hits"],
             "kernel_cache_misses": self.kernel_cache["misses"],
             "retry_depth": len(self._retry),
@@ -438,8 +514,7 @@ class AdmissionCell:
             return CellEvent(decision="free", uid=uid,
                              seconds=time.perf_counter() - start)
         if uid in self._retry:
-            self._retry.remove(uid)
-            self._obs["retry_depth"].dec()
+            self._unqueue(uid)
             self._count("expire")
             return CellEvent(decision="expire", uid=uid,
                              seconds=time.perf_counter() - start)
@@ -454,9 +529,10 @@ class AdmissionCell:
         the *entire* candidate set -- retries never evict.  Yields one
         event per attempt (``accept`` on re-admission, ``reject`` with
         ``result=None`` when the set did not fit whole; failed
-        attempts stay parked) *as it goes*, so a driver observes the
-        admitted set mid-pass exactly as it evolves.  Consume the
-        iterator fully, or the pass stops where you stop."""
+        attempts stay parked, with the core of the failure when one
+        was recorded) *as it goes*, so a driver observes the admitted
+        set mid-pass exactly as it evolves.  Consume the iterator
+        fully, or the pass stops where you stop."""
         for uid in list(self._retry):
             if self._departure_of.get(uid, float("inf")) <= now:
                 continue  # its own departure event expires it
@@ -464,6 +540,9 @@ class AdmissionCell:
             candidate = sorted(self._admitted | {uid})
             result = self.decide(candidate, all_or_nothing=True)
             if result is None:
+                core = self._proved.get(uid)
+                if core is not None:
+                    self._cores[uid] = core
                 self._count("reject")
                 yield CellEvent(
                     decision="reject", uid=uid,
@@ -471,8 +550,7 @@ class AdmissionCell:
                     seconds=time.perf_counter() - start)
                 continue
             _evicted, flips = self._commit(candidate, result)
-            self._retry.remove(uid)
-            self._obs["retry_depth"].dec()
+            self._unqueue(uid)
             self._count("accept")
             yield CellEvent(
                 decision="accept", uid=uid, flips=flips,
@@ -534,7 +612,6 @@ class AdmissionCell:
         """Silently drop ``uid`` from the retry queue (no expiry
         accounting); returns whether it was parked."""
         if uid in self._retry:
-            self._retry.remove(uid)
-            self._obs["retry_depth"].dec()
+            self._unqueue(uid)
             return True
         return False

@@ -55,7 +55,10 @@ __all__ = [
 #: v6: the sharded engine lost its splice fast path and certificate
 #: memo, so sharded summaries' certificate counters moved (verdicts
 #: did not).
-ONLINE_CALL_KEY = "online/run@v6"
+#: v7: failure cores skip provably futile cross-shard retries and
+#: re-certifications, so sharded summaries' certificate and per-shard
+#: decision counters moved (verdicts did not).
+ONLINE_CALL_KEY = "online/run@v7"
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,8 @@ def run_online_scenario(spec: OnlineScenarioSpec) -> OnlineRunResult:
         scenario.update_attributes({
             key: sum(stats[key] for stats in cell_stats)
             for key in ("decisions", "memo_hits", "memo_misses",
-                        "kernel_cache_hits", "kernel_cache_misses")})
+                        "core_hits", "kernel_cache_hits",
+                        "kernel_cache_misses")})
         sharding = result.summary["sharding"]
         scenario.update_attributes({
             key: sharding[key]

@@ -32,6 +32,19 @@ invalidate_job` on the persistent universe analyzer, purging exactly
   (:func:`_witness_audsley`) -- same verdict as the cold path, but
   possibly a different ordering.  :func:`admit_trajectory` keeps the
   cold path's lowest-index ordering.
+* a certified-band run that gets stuck hands back its *failure core*
+  (:class:`Outcome`): the unassigned set ``U`` of the stuck level (for
+  eq5, whose blocking term reads every active job, the level's active
+  set).  No member of ``U`` passes with ``U - {j}`` above it, so ``U``
+  has no feasible fixed-priority order, and under the float-monotone
+  bounds no superset of it has one either -- the online cells and the
+  sharded certificate answer a later all-or-nothing question whose
+  candidate contains a recorded core with "infeasible" and run no
+  analysis.  A core is recorded only when every member's certified
+  excess clears the ``1e-9`` threshold by the
+  :meth:`_ExcessBands.seed` pad ``_REL * (|excess| + D) + _ABS``: the
+  pad covers the different reduction lengths of a superset's
+  analysis, so a later run's exact values fail too.
 
 Every value produced along either path is the result of the same
 floating-point reductions over the same operands in the same order as
@@ -42,6 +55,7 @@ the cold path, which is what the bitwise-equivalence property tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +85,22 @@ class SubsetAnalysis:
     test: SDCA
     #: Universe indices of the subset's jobs, ascending.
     indices: np.ndarray
+
+
+class Outcome(NamedTuple):
+    """One controller run and the failure cores it proved.
+
+    ``cores`` holds one entry per level at which the run got stuck, in
+    order: the full controller gets stuck once per discard (entries
+    align with ``result.rejected``), an all-or-nothing run at most
+    once (and then ``result`` is ``None``).  An entry is the ascending
+    array of the core's local job indices, or ``None`` when a member
+    sat inside the seed pad.  Runs on the frontier driver record no
+    core: their ``cores`` is empty.
+    """
+
+    result: "AdmissionResult | None"
+    cores: tuple = ()
 
 
 class IncrementalAnalyzer:
@@ -252,7 +282,7 @@ def incremental_admission(jobset: JobSet, test: SDCA) -> AdmissionResult:
     Decisions are *always* exact -- both routes only decide how much
     work is skipped, never the outcome.
     """
-    return _lazy_audsley(jobset, test, discard=True)
+    return _lazy_audsley(jobset, test, discard=True).result
 
 
 def incremental_feasibility(jobset: JobSet,
@@ -271,18 +301,19 @@ def incremental_feasibility(jobset: JobSet,
     trajectory.  ``None`` is returned precisely when
     ``opdca_admission`` would reject at least one job.
     """
-    return _lazy_audsley(jobset, test, discard=False)
+    return _lazy_audsley(jobset, test, discard=False).result
 
 
 def _lazy_audsley(jobset: JobSet, test: SDCA, *,
-                  discard: bool) -> "AdmissionResult | None":
+                  discard: bool) -> Outcome:
     """Controller dispatch between the two routes of
     :func:`incremental_admission`.  ``discard`` selects the modified
     Step 10 (full controller) over stopping at the first infeasible
-    level (all-or-nothing)."""
+    level (all-or-nothing).  Only the certified-band route records
+    failure cores."""
     if _banded(jobset, test):
         return _banded_audsley(jobset, test, discard=discard)
-    return _frontier_admission(jobset, test, discard=discard)
+    return Outcome(_frontier_admission(jobset, test, discard=discard))
 
 
 def _banded(jobset: JobSet, test: SDCA) -> bool:
@@ -412,6 +443,22 @@ class _ExcessBands:
         err = self.err[rows]
         return est - err, est + err
 
+    def core(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             active: np.ndarray, tol: float) -> "np.ndarray | None":
+        """Failure core of a stuck level whose unassigned candidates
+        ``rows`` all fail, with certified excess bounds ``lo``/``hi``
+        (exact values where known): ``rows`` itself, or for eq5, whose
+        blocking term reads every active job, the ``active`` set.
+        ``None`` unless every ``lo`` clears ``tol`` by the seed pad
+        (sized on ``hi``), which covers a superset analysis's different
+        reduction lengths: only then do its exact values fail too."""
+        pad = self._REL * (np.abs(hi) + self._deadlines[rows]) + self._ABS
+        if not (lo - pad).min() > tol:
+            return None
+        if self._block is not None:
+            return np.flatnonzero(active)
+        return rows
+
     def remove(self, p: int, *, discard: bool = False,
                watch: "np.ndarray | None" = None) -> None:
         """Account for job ``p`` leaving the candidate columns
@@ -452,7 +499,7 @@ class _ExcessBands:
 
 
 def _banded_audsley(jobset: JobSet, test: SDCA, *,
-                    discard: bool) -> "AdmissionResult | None":
+                    discard: bool) -> Outcome:
     """Certified-band Audsley admission (float-monotone bounds).
 
     Bitwise identical, decision for decision and delay for delay, to
@@ -481,6 +528,10 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
     Every exact refresh goes through ``level_bounds(rows=...)`` on the
     analyzer's own kernel -- per-row bitwise identical to the stock
     full-batch evaluation of the level on every tier.
+
+    Each stuck level -- every discard level, or the level an
+    all-or-nothing run stops at -- yields its failure core
+    (:meth:`_ExcessBands.core`, :class:`Outcome`).
     """
     analyzer = test.analyzer
     equation = test.equation
@@ -493,6 +544,7 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
     priority = np.zeros(n, dtype=np.int64)
     rejected: list[int] = []
     order_low_to_high: list[int] = []
+    cores: list = []
 
     def exact_rows(rows: np.ndarray) -> np.ndarray:
         """Exact excesses of the selected candidates under the current
@@ -609,34 +661,36 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
             fresh.clear()
             continue
 
+        # No feasible candidate at this level (the walk resolved every
+        # straddler exactly without finding a pass): every candidate's
+        # excess is certified above the tolerance, by its band or
+        # exactly.
+        arr = np.asarray(cand, dtype=np.int64)
+        lo, hi = bands.bounds(arr)
+        for pos, j in enumerate(cand):
+            value = fresh.get(j)
+            if value is not None:
+                lo[pos] = hi[pos] = value
         if not discard:
-            # No feasible candidate at this level (the walk resolved
-            # every straddler exactly without finding a pass): the run
-            # fails.
-            return None
+            # The run fails.
+            return Outcome(None, (bands.core(arr, lo, hi, active, tol),))
 
         # Modified Step 10: discard the worst offender -- largest
         # exact excess, float ties resolved to the larger job index,
         # exactly like ``max()`` over (excess, index) tuples (``cand``
         # holds the job indices in ascending order).
-        arr = np.asarray(cand, dtype=np.int64)
-        est = bands.est[arr]
-        err = bands.err[arr]
-        lo = est - err
-        hi = est + err
-        for pos, j in enumerate(cand):
-            value = fresh.get(j)
-            if value is not None:
-                lo[pos] = hi[pos] = value
         threshold = lo.max()
         contenders = np.flatnonzero(hi >= threshold)
-        need = arr[[int(p) for p in contenders
-                    if cand[int(p)] not in fresh]]
-        if need.size:
+        need_pos = [int(p) for p in contenders
+                    if cand[int(p)] not in fresh]
+        if need_pos:
+            need = arr[need_pos]
             ex = exact_rows(need)
             bands.seed(need, ex)
+            lo[need_pos] = hi[need_pos] = ex
             for j, value in zip(need, ex):
                 fresh[int(j)] = float(value)
+        cores.append(bands.core(arr, lo, hi, active, tol))
         worst_excess, worst_job = max(
             (fresh[cand[int(p)]], cand[int(p)]) for p in contenders)
         cand.remove(worst_job)
@@ -648,14 +702,15 @@ def _banded_audsley(jobset: JobSet, test: SDCA, *,
         bands.remove(worst_job, discard=True, watch=watched)
         fresh.clear()
 
-    return _finish_result(analyzer, equation, n, active,
-                          order_low_to_high, rejected)
+    return Outcome(_finish_result(analyzer, equation, n, active,
+                                  order_low_to_high, rejected),
+                   tuple(cores))
 
 
-def _witness_audsley(jobset: JobSet, test: SDCA
-                     ) -> "AdmissionResult | None":
+def _witness_audsley(jobset: JobSet, test: SDCA) -> Outcome:
     """Feasibility-only certified-band Audsley: *some* feasible
-    priority assignment of the whole job set, or ``None``.
+    priority assignment of the whole job set, or ``None`` with the
+    failure core of the round that got stuck.
 
     Under the :func:`_banded` gate Audsley is complete whichever
     feasible candidate it places at each level, so a yes/no question
@@ -676,7 +731,8 @@ def _witness_audsley(jobset: JobSet, test: SDCA
 
     The verdict therefore equals the stock controller's; only the
     ordering of a feasible result may differ from the lowest-index
-    trajectory.
+    trajectory.  A stuck set differs from the trajectory's but is a
+    failure core all the same (:class:`Outcome`).
     """
     analyzer = test.analyzer
     equation = test.equation
@@ -700,21 +756,59 @@ def _witness_audsley(jobset: JobSet, test: SDCA
         lo, hi = bands.bounds(cand)
         placed = cand[hi <= tol]
         if not placed.size:
-            straddlers = cand[lo <= tol]
-            if not straddlers.size:
-                return None
-            excesses = exact_rows(straddlers)
-            bands.seed(straddlers, excesses)
-            placed = straddlers[excesses <= tol]
+            straddle = lo <= tol
+            if straddle.any():
+                straddlers = cand[straddle]
+                excesses = exact_rows(straddlers)
+                bands.seed(straddlers, excesses)
+                placed = straddlers[excesses <= tol]
+                lo[straddle] = hi[straddle] = excesses
             if not placed.size:
-                return None
+                return Outcome(None,
+                               (bands.core(cand, lo, hi, active, tol),))
         order_low_to_high.extend(placed.tolist())
         unassigned[placed] = False
         cand = np.flatnonzero(unassigned)
         if cand.size:
             bands.remove_many(placed, unassigned)
-    return _finish_result(analyzer, equation, n, active,
-                          order_low_to_high, [])
+    return Outcome(_finish_result(analyzer, equation, n, active,
+                                  order_low_to_high, []))
+
+
+def admit_outcome(analysis: SubsetAnalysis, *,
+                  mode: str = "incremental") -> Outcome:
+    """:func:`admit` with the failure cores of its discard levels
+    (:class:`Outcome`; cold mode records none)."""
+    if mode == "incremental":
+        return _lazy_audsley(analysis.jobset, analysis.test, discard=True)
+    if mode == "cold":
+        return Outcome(_frontier_admission(analysis.jobset, analysis.test,
+                                           discard=True,
+                                           adapter=_StockExcessLevels))
+    raise ValueError(f"mode must be 'incremental' or 'cold', got {mode!r}")
+
+
+def trajectory_outcome(analysis: SubsetAnalysis, *,
+                       mode: str = "incremental") -> Outcome:
+    """:func:`admit_trajectory` with the failure core of a failed run
+    (:class:`Outcome`; cold mode records none)."""
+    if mode == "incremental":
+        return _lazy_audsley(analysis.jobset, analysis.test,
+                             discard=False)
+    if mode == "cold":
+        return Outcome(_frontier_admission(analysis.jobset, analysis.test,
+                                           discard=False))
+    raise ValueError(f"mode must be 'incremental' or 'cold', got {mode!r}")
+
+
+def witness_outcome(analysis: SubsetAnalysis, *,
+                    mode: str = "incremental") -> Outcome:
+    """:func:`admit_all_or_nothing` with the failure core of a failed
+    search (:class:`Outcome`): the witness search's stuck set under
+    the certified-band gate, the trajectory's elsewhere."""
+    if mode == "incremental" and _banded(analysis.jobset, analysis.test):
+        return _witness_audsley(analysis.jobset, analysis.test)
+    return trajectory_outcome(analysis, mode=mode)
 
 
 def admit(analysis: SubsetAnalysis, *,
@@ -727,13 +821,7 @@ def admit(analysis: SubsetAnalysis, *,
     evaluated in full), the yardstick the online benchmark measures
     the incremental path against.
     """
-    if mode == "incremental":
-        return incremental_admission(analysis.jobset, analysis.test)
-    if mode == "cold":
-        return _frontier_admission(analysis.jobset, analysis.test,
-                                   discard=True,
-                                   adapter=_StockExcessLevels)
-    raise ValueError(f"mode must be 'incremental' or 'cold', got {mode!r}")
+    return admit_outcome(analysis, mode=mode).result
 
 
 def admit_all_or_nothing(analysis: SubsetAnalysis, *,
@@ -747,13 +835,10 @@ def admit_all_or_nothing(analysis: SubsetAnalysis, *,
     bound, window-filtered analyzer) this is the witness search
     :func:`_witness_audsley`, whose ordering may differ from the
     lowest-index Audsley trajectory -- the verdict never does.
-    Everywhere else it is :func:`admit_trajectory`.  The sharded
-    engine's whole-universe certificate uses this; cells, whose
+    Everywhere else it is :func:`admit_trajectory`.  Cells, whose
     orderings are pinned, use :func:`admit_trajectory`.
     """
-    if mode == "incremental" and _banded(analysis.jobset, analysis.test):
-        return _witness_audsley(analysis.jobset, analysis.test)
-    return admit_trajectory(analysis, mode=mode)
+    return witness_outcome(analysis, mode=mode).result
 
 
 def admit_trajectory(analysis: SubsetAnalysis, *,
@@ -771,9 +856,4 @@ def admit_trajectory(analysis: SubsetAnalysis, *,
     (:func:`repro.core.admission._frontier_admission`), with the same
     ``Delta_i - D_i <= 1e-9`` pass rule as cold :func:`admit`.
     """
-    if mode == "incremental":
-        return incremental_feasibility(analysis.jobset, analysis.test)
-    if mode == "cold":
-        return _frontier_admission(analysis.jobset, analysis.test,
-                                   discard=False)
-    raise ValueError(f"mode must be 'incremental' or 'cold', got {mode!r}")
+    return trajectory_outcome(analysis, mode=mode).result

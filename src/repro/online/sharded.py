@@ -84,11 +84,16 @@ evaluation of the new job certifies the extended set
 only when that probe fails, and Audsley's completeness for
 OPA-compatible bounds makes the accept/reject decisions identical
 either way.  Under the same gate the full search is itself a witness
-search (:func:`~repro.online.incremental.admit_all_or_nothing`): it
+search (:func:`~repro.online.incremental.witness_outcome`): it
 places every certainly-feasible job per round rather than tracing the
 lowest-index Audsley trajectory, so its ordering may differ from the
 cold controller's while its verdict never does.  Cells keep the
-lowest-index trajectory for their own decisions.
+lowest-index trajectory for their own decisions.  A refused search
+hands back its *failure core*, a stuck set clear of the bands' seed
+pad that no superset can schedule: while a queued cross-shard job's
+core lies inside ``admitted + {uid}`` its retry is skipped, and while
+a refused re-certification's core stays admitted the next visitor is
+revoked without searching again.
 
 With ``shards=1`` the single cell owns the universe and its segment
 cache outright, so every event is one plain controller decision.
@@ -135,8 +140,10 @@ from repro.core.system import JobSet
 from repro.online.cell import CELL_KERNELS, CELL_MODES, AdmissionCell
 from repro.online.incremental import (
     IncrementalAnalyzer,
-    admit_all_or_nothing,
+    Outcome,
+    admit_all_or_nothing,  # noqa: F401 - perfbench's ledger patches it
     cold_analysis,
+    witness_outcome,
 )
 from repro.online.metrics import (
     EventRecord,
@@ -358,13 +365,17 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
                           and self._routing.num_cross > 0)
         self._order: "list[int] | None" = [] if self._order_ok else None
         self._quick_certifies = 0
-        #: Certify-failure witnesses for queued cross-shard jobs:
-        #: ``uid -> frozenset(candidate minus uid)`` at the failed
-        #: attempt.  Under the same monotone gate, infeasibility is
-        #: antitone in the job set (restricting a feasible assignment
-        #: to a subset only shrinks higher-priority sets), so while
-        #: every witness member is still admitted a retry would
-        #: provably fail again and is skipped outright.
+        #: Failure cores of queued cross-shard jobs: ``uid -> frozenset``
+        #: of the global uids in the stuck set of the witness search
+        #: that refused its certificate (see
+        #: :class:`~repro.online.incremental.Outcome`).  A core has no
+        #: feasible priority order and, under the float-monotone
+        #: bounds, neither has any superset of it, so while the core
+        #: lies inside ``admitted + {uid}`` a retry would provably
+        #: fail again and is skipped outright.  Only the certified-band
+        #: witness search records cores (never cold mode), and only
+        #: clear of the seed pad; keys stay a subset of the
+        #: cross-shard queue.
         self._cross_failed: "dict[int, frozenset]" = {}
         self._certify_seconds = 0.0
         self._certify_count = 0
@@ -520,11 +531,12 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         """Park a cross-shard job in the engine-level queue (bounded
         FIFO, same overflow rule as the cells')."""
         if self._retry_limit == 0:
+            self._cross_failed.pop(uid, None)
             self._metrics.retry_drops += 1
             return
         self._cross_retry.append(uid)
         if len(self._cross_retry) > self._retry_limit:
-            self._cross_retry.pop(0)
+            self._cross_failed.pop(self._cross_retry.pop(0), None)
             self._metrics.retry_drops += 1
 
     def _touched(self, uid: int) -> "list[_Shard]":
@@ -677,21 +689,22 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
             members.add(extra)
         return tuple(sorted(members))
 
-    def _certify(self, candidate: "tuple[int, ...]"
-                 ) -> "AdmissionResult | None":
+    def _certify(self, candidate: "tuple[int, ...]") -> Outcome:
         """All-or-nothing admission of ``candidate`` (ascending global
         uids) over the *unrestricted* universe: the schedulability
         certificate of the global admitted set (or of one resource
         component of it -- see :meth:`_component_candidate`).
+        A refusal carries the search's failure core when one was
+        recorded (:meth:`_core_of`).
 
         Per-shard reservations see only their own members as
         interferers, so they under-count a cross-shard job's
         end-to-end delay; this check is the one place the full
         interference picture is evaluated.  It asks only for *a*
         feasible assignment (:func:`~repro.online.incremental.\
-admit_all_or_nothing`, a witness search under the float-monotone
-        gate), so a fit's ordering may differ from the cold
-        controller's; the verdict is identical.
+witness_outcome`, a witness search under the float-monotone gate),
+        so a fit's ordering may differ from the cold controller's; the
+        verdict is identical.
         """
         start = time.perf_counter()
         try:
@@ -700,11 +713,21 @@ admit_all_or_nothing`, a witness search under the float-monotone
                                          self._policy)
             else:
                 analysis = self._global_analyzer().subset(candidate)
-            return admit_all_or_nothing(analysis, mode=self._mode)
+            return witness_outcome(analysis, mode=self._mode)
         finally:
             self._certify_seconds += time.perf_counter() - start
             self._certify_count += 1
             self._obs_certify["full"].inc()
+
+    @staticmethod
+    def _core_of(candidate: "tuple[int, ...]",
+                 outcome: Outcome) -> "frozenset | None":
+        """The global uids of a refused certificate's failure core, or
+        ``None`` when the search recorded none."""
+        core = outcome.cores[0] if outcome.cores else None
+        if core is None:
+            return None
+        return frozenset(candidate[i] for i in core.tolist())
 
     def _visitors_on(self, home: _Shard) -> "list[int]":
         """Admitted cross-shard jobs resident on ``home``, ascending
@@ -732,9 +755,11 @@ admit_all_or_nothing`, a witness search under the float-monotone
         the full certificate fails, the youngest visitor on ``home``
         (highest uid) is revoked from every touched shard and parked
         in the cross-shard queue; revocation can split the component,
-        so the candidate is recomputed each round.  Returns the
-        revoked uids (ascending) and the wall-clock seconds spent, for
-        the caller's event record.
+        so the candidate is recomputed each round.  While the failed
+        certificate's core is still wholly admitted, certifying again
+        would provably fail, so the next visitor is revoked without
+        it.  Returns the revoked uids (ascending) and the wall-clock
+        seconds spent, for the caller's event record.
         """
         visitors = self._visitors_on(home)
         if not visitors:
@@ -744,12 +769,15 @@ admit_all_or_nothing`, a witness search under the float-monotone
         if self._quick_certify(uid):
             return [], time.perf_counter() - start
         revoked: list[int] = []
+        core: "frozenset | None" = None
         while True:
-            candidate = self._component_candidate((home.shard,))
-            result = self._certify(candidate)
-            if result is not None:
-                self._order_merge(candidate, result)
-                break
+            if core is None or not core <= self._admitted:
+                candidate = self._component_candidate((home.shard,))
+                outcome = self._certify(candidate)
+                if outcome.result is not None:
+                    self._order_merge(candidate, outcome.result)
+                    break
+                core = self._core_of(candidate, outcome)
             if not visitors:
                 # Unreachable by construction: with no visitors left
                 # on ``home`` the set is the pre-event certified set
@@ -778,7 +806,7 @@ admit_all_or_nothing`, a witness search under the float-monotone
         candidate = sorted(self._admitted)
         if not candidate:
             return
-        certificate = self._certify(tuple(candidate))
+        certificate = self._certify(tuple(candidate)).result
         if certificate is None:
             self._validation_failures.append(
                 f"event {index}: admitted set has no feasible "
@@ -843,15 +871,13 @@ admit_all_or_nothing`, a witness search under the float-monotone
         """Two-phase reservation of ``uid`` on every touched shard,
         guarded by the whole-universe certificate.  Returns
         acceptance; on rejection nothing changed anywhere."""
-        failed = self._cross_failed.get(uid)
-        if failed is not None:
-            if failed <= self._admitted:
-                # The failed candidate is still wholly admitted, so by
-                # monotonicity this attempt cannot succeed; skip the
-                # reservations and the certificate entirely (failed
-                # retry attempts leave no record either way).
-                return False
-            del self._cross_failed[uid]
+        core = self._cross_failed.get(uid)
+        if core is not None and core - {uid} <= self._admitted:
+            # The failure core lies inside admitted + {uid}, so this
+            # attempt cannot succeed; skip the reservations and the
+            # certificate entirely (failed retry attempts leave no
+            # record either way).
+            return False
         touched = self._touched(uid)
         reservations = []
         seconds = 0.0
@@ -884,7 +910,8 @@ admit_all_or_nothing`, a witness search under the float-monotone
         certificate = None
         if not quick:
             candidate = self._component_candidate((), extra=uid)
-            certificate = self._certify(candidate)
+            outcome = self._certify(candidate)
+            certificate = outcome.result
         seconds += time.perf_counter() - start
         if quick:
             self._log_decision(index, "certify-fast", uid, (), True)
@@ -894,9 +921,9 @@ admit_all_or_nothing`, a witness search under the float-monotone
             if certificate is None:
                 self._cross_certify_rejects += 1
                 self._obs_certify_rejects.inc()
-                if self._order_ok:
-                    self._cross_failed[uid] = \
-                        frozenset(candidate) - {uid}
+                core = self._core_of(candidate, outcome)
+                if core is not None:
+                    self._cross_failed[uid] = core
                 if kind == "arrive":
                     self._snapshot(index, now, kind, uid, "reject",
                                    (), 0, seconds)

@@ -11,7 +11,6 @@ from repro.baselines.dcmp import (
     stage_ranks,
     virtual_deadlines,
 )
-from repro.core.exceptions import ModelError
 from repro.core.job import Job
 from repro.core.system import JobSet, MSMRSystem, Stage
 from repro.sim.engine import PipelineSimulator
@@ -133,15 +132,30 @@ class TestDCMP:
         assert result.stage_finish.tobytes() == finish.tobytes()
         assert result.simulation is None
 
-    def test_budget_release_rejects_a_zero_stage_time(self, jobset):
-        """A decomposed stage with no work is not a valid single-stage
-        job set; the pipeline itself is."""
-        zero = JobSet.from_arrays(jobset.system, [[2.0, 0.0], [4.0, 4.0]],
-                                  jobset.D, jobset.R)
-        assert dcmp(zero).stage_finish.shape == (2, 2)
-        with pytest.raises(ModelError,
-                           match="all stage processing times are zero"):
-            dcmp(zero, release="budget")
+    def test_budget_release_dispatches_a_zero_stage_time(self, jobset):
+        """A job with no work at one stage is a valid pipeline job:
+        budget-release DCMP finishes it at its stage release on an idle
+        resource, and every other finish time is the simulator's on the
+        stage sub-problem without it."""
+        late = Job(processing=(3, 0), deadline=40, resources=(0, 0),
+                   arrival=30.0)
+        zero = JobSet(jobset.system, list(jobset.jobs) + [late])
+        result = dcmp(zero, release="budget")
+        virtual = virtual_deadlines(zero)
+        rank = stage_ranks(virtual)
+        releases = zero.A[:, None] + np.cumsum(virtual, axis=1) - virtual
+        others = [0, 1]
+        assert releases[2, 1] > result.stage_finish[others, 1].max()
+        assert result.stage_finish[2, 1] == releases[2, 1]
+        assert result.stage_finish[:, 0].tobytes() == \
+            stock_stage_simulation(zero, 0).finish_times.tobytes()
+        sub = JobSet.from_arrays(
+            MSMRSystem([Stage(1, preemptive=True)]), zero.P[others, 1:],
+            virtual[others, 1], zero.R[others, 1:], A=releases[others, 1])
+        simulation = PipelineSimulator(
+            sub, PerStagePolicy(rank[others, 1:]), preemptive=[True]).run()
+        assert result.stage_finish[others, 1].tobytes() == \
+            simulation.finish_times.tobytes()
 
 
 def test_virtual_deadlines_use_each_resources_masked_total():

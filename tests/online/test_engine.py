@@ -401,7 +401,7 @@ class TestScenarioHelpers:
     def test_single_shard_scenario_reports_sharding(self):
         from repro.online.engine import ONLINE_CALL_KEY
 
-        assert ONLINE_CALL_KEY == "online/run@v6"
+        assert ONLINE_CALL_KEY == "online/run@v7"
         spec = OnlineScenarioSpec(
             stream=StreamConfig(horizon=40.0, rate=0.3), seed=2)
         result = run_online_scenario(spec)
