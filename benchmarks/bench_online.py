@@ -17,13 +17,7 @@ machinery.
 The run asserts the aggregate decision-path speedup is at least 2x
 (CI's ``online-bench`` job gates on the same number from
 ``BENCH_online.json``); in practice it is ~2.5-3x at the benchmark
-operating point and grows with the admitted-set size.  When the
-optional numba dependency is importable a third leg replays the
-streams in incremental mode on the compiled kernel tier and publishes
-``events_per_sec(incremental/compiled)`` /
-``speedup(admission/compiled)`` (see ``docs/kernels.md``); the plain
-CI leg never sees those metrics, so the committed baselines stay
-comparable across both legs.
+operating point and grows with the admitted-set size.
 
 ``test_sharded_scaling`` measures the shard layer on a
 cluster-structured workload (:func:`~repro.online.streams.\
@@ -59,12 +53,11 @@ POOL_SIZE = 40
 REPEATS = 3
 
 
-def _decision_seconds(stream, mode: str,
-                      kernel: str = "paired") -> "tuple[float, dict]":
+def _decision_seconds(stream, mode: str) -> "tuple[float, dict]":
     best = float("inf")
     summary = None
     for _ in range(REPEATS):
-        engine = OnlineAdmissionEngine(stream, mode=mode, kernel=kernel)
+        engine = OnlineAdmissionEngine(stream, mode=mode)
         result = engine.run()
         best = min(best, engine.decision_seconds)
         summary = result.summary
@@ -84,9 +77,7 @@ def test_online_engine(benchmark):
         for seed in range(seeds)
     ]
 
-    from repro.core.kernels import HAS_NUMBA
-
-    totals = {"incremental": 0.0, "cold": 0.0, "incremental/compiled": 0.0}
+    totals = {"incremental": 0.0, "cold": 0.0}
     events = 0
 
     def run_all():
@@ -96,13 +87,6 @@ def test_online_engine(benchmark):
             for mode in ("incremental", "cold"):
                 seconds, summary = _decision_seconds(stream, mode)
                 totals[mode] += seconds
-            if HAS_NUMBA:
-                # Compiled-kernel tier column (with-numba CI leg only;
-                # decisions are identical, only the decision-path time
-                # differs).
-                seconds, _ = _decision_seconds(
-                    stream, "incremental", kernel="compiled")
-                totals["incremental/compiled"] += seconds
             events += summary["events"]
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -117,11 +101,6 @@ def test_online_engine(benchmark):
     benchmark.extra_info["events_per_sec(incremental)"] = round(
         events_per_sec, 1)
     benchmark.extra_info["speedup(admission)"] = round(speedup, 3)
-    if HAS_NUMBA:
-        benchmark.extra_info["events_per_sec(incremental/compiled)"] = \
-            round(events / totals["incremental/compiled"], 1)
-        benchmark.extra_info["speedup(admission/compiled)"] = round(
-            totals["cold"] / totals["incremental/compiled"], 3)
     print(f"\nonline admission: {events} events, "
           f"{events_per_sec:.0f} events/s incremental, "
           f"incremental-vs-cold decision speedup {speedup:.2f}x")

@@ -21,13 +21,6 @@ optimisations, as hardware-independent ratios:
   engine; the run gates on >= 2.0x at n=100 (the committed CI
   baseline gates the measured value, >= 2.5x, with -20% tolerance).
 
-When the optional numba dependency is importable, two compiled-tier
-columns ride along with the same numerators
-(``speedup(level/compiled)``, ``speedup(opdca/compiled)``), published
-by the with-numba CI leg; they surface as "arm the gate" notes in
-``compare_bench.py`` until committed to a baseline (see
-``docs/kernels.md`` and ``benchmarks/baselines/README.md``).
-
 Per-phase timings (``t(segments)``, ``t(level/...)``) break the cold
 analysis cost into the one-off segment algebra and the per-level
 evaluation primitive.  The n=200 size exposes the asymptotic win: the

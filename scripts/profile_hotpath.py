@@ -15,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_hotpath.py [target ...] \
         [--jobs N] [--cases K] [--top N] [--sort cumulative|tottime] \
-        [--kernel paired|reference|compiled]
+        [--kernel paired|reference]
 
 With no targets, all three are profiled.  Each target prints a
 top-``N`` table sorted by cumulative time (default), the right view
@@ -26,7 +26,7 @@ attributable.
 
 After the flat profile each target prints a **per-phase breakdown**:
 profiler rows bucketed into the four hot-path phases -- ``probe``
-(level-bound evaluation: paired/compiled frontier probes),
+(level-bound evaluation: paired frontier probes),
 ``splice`` (certified-band and priority-order surgery),
 ``cache-invalidate`` (departure-path memo/segment eviction) and
 ``memo`` (subset-analysis reuse) -- with own-time and share of total.
@@ -110,11 +110,11 @@ RUNNERS = {"opdca": run_opdca, "admission": run_admission,
 PHASES: "dict[str, tuple[str, ...]]" = {
     # Level-bound evaluation: the Audsley drivers' level adapters and
     # exact row refreshes, and the tier kernels under them (paired
-    # masks, compiled loop primitives, reference).
+    # masks, reference).
     "probe": (
-        "delays_rows", "probe", "exact_rows", "level_probe",
+        "delays_rows", "probe", "exact_rows",
         "level_bounds", "level_bound_single", "_level_paired",
-        "_level_compiled", "_paired_stage_sum", "delay_bounds_rows",
+        "_paired_stage_sum", "delay_bounds_rows",
     ),
     # Certified-band and priority-order surgery.
     "splice": (
@@ -156,11 +156,6 @@ def _phase_breakdown(stats: pstats.Stats) -> None:
 
 def profile_target(target: str, *, num_jobs: int, cases: int,
                    top: int, sort: str, kernel: str) -> None:
-    from repro.core.kernels import resolve_kernel
-
-    # An unavailable compiled tier should fail before the profiler
-    # spins up, with the kernels module's clear error.
-    resolve_kernel(kernel)
     runner = RUNNERS[target]
     runner(num_jobs, min(cases, 1), kernel)  # warm caches
     profiler = cProfile.Profile()
@@ -175,7 +170,7 @@ def profile_target(target: str, *, num_jobs: int, cases: int,
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    from repro.core.kernels import KERNEL_TIERS
+    from repro.core.dca import KERNEL_TIERS
 
     parser = argparse.ArgumentParser(
         description="Profile the opdca/admission/online hot paths.")

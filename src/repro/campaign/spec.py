@@ -77,9 +77,8 @@ try:  # Python >= 3.11; JSON remains the lowest common denominator.
 except ImportError:  # pragma: no cover - exercised only on 3.10
     tomllib = None
 
-from repro.core.dca import ALL_EQUATIONS
+from repro.core.dca import ALL_EQUATIONS, KERNEL_TIERS
 from repro.core.exceptions import ModelError
-from repro.core.kernels import KERNEL_TIERS
 from repro.core.schedulability import resolve_equation
 from repro.experiments.parallel import ScenarioSpec
 from repro.experiments.runner import APPROACHES
@@ -119,7 +118,7 @@ RELEVANT_AXES = {
 OPT_BACKENDS = ("highs", "branch_bound", "cp")
 
 #: Level-evaluation kernels of the online analyzers (the shared tier
-#: registry of :mod:`repro.core.kernels`, same values as
+#: registry :data:`repro.core.dca.KERNEL_TIERS`, same values as
 #: :data:`repro.online.cell.CELL_KERNELS`).
 KERNELS = KERNEL_TIERS
 

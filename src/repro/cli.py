@@ -49,7 +49,7 @@ import sys
 import time
 from dataclasses import replace
 
-from repro.core.kernels import KERNEL_TIERS
+from repro.core.dca import KERNEL_TIERS
 from repro.experiments.ablation import (
     bound_tightness,
     heuristic_comparison,
@@ -211,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="paired", choices=KERNEL_TIERS,
                    help="level-evaluation kernel: 'paired' "
                         "(vectorised pairwise-contribution cache, the "
-                        "default), 'reference' (broadcast path) or "
-                        "'compiled' (numba-jitted loops; needs the "
-                        "optional numba dependency); see "
-                        "docs/kernels.md")
+                        "default) or 'reference' (broadcast path); "
+                        "see docs/kernels.md")
     add_trace_option(p)
 
     p = sub.add_parser(
@@ -259,11 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="paired", choices=KERNEL_TIERS,
                    help="level-evaluation kernel of the admission "
                         "analyzers: 'paired' (vectorised pairwise-"
-                        "contribution cache, the default), "
-                        "'reference' (broadcast path) or 'compiled' "
-                        "(numba-jitted loops; needs the optional "
-                        "numba dependency); decisions are "
-                        "identical under every tier")
+                        "contribution cache, the default) or "
+                        "'reference' (broadcast path); decisions are "
+                        "identical under both tiers")
     p.add_argument("--shards", type=positive_int, default=1,
                    help="resource shards: 1 runs one admission "
                         "cell over the whole universe; N > 1 splits each "

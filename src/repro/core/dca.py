@@ -67,9 +67,9 @@ through per-equation *contribution matrices*, built once per analyzer
   when higher priority, pre-multiplied by the window-overlap filter --
   a level's job-additive term collapses to the masked matvec
   ``(C * cols).sum(axis=1)`` with ``cols = unassigned & active``;
-* the premasked per-stage interference tensors
-  :attr:`~repro.core.segments.SegmentCache.epq` /
-  :attr:`~repro.core.segments.SegmentCache.epb` -- each stage-additive
+* the premasked stage-major interference tensors
+  :attr:`~repro.core.segments.SegmentCache.epq_s` /
+  :attr:`~repro.core.segments.SegmentCache.epb_s` -- each stage-additive
   or blocking term is one column-masked row-max, with no per-level
   ``(n, n)`` relation mask ever rebuilt (and the priority-independent
   Eq. 5 blocking vector memoised per ``active`` context).
@@ -80,11 +80,7 @@ on broadcast rows), so its values are bitwise identical for every
 candidate row (jobs in ``unassigned & active``); ``kernel="reference"``
 keeps the tensor path selectable for equivalence testing, and analyzers
 built with ``window_filter=False`` always use it (the contribution
-tensors bake the window filter in).  A third tier rides the same
-premasked operands: ``kernel="compiled"`` delegates the masked
-reductions to the (optionally numba-jitted) loop primitives of
-:mod:`repro.core.kernels.compiled`, equivalent to the reference within
-``1e-9`` relative tolerance.  The full tier matrix and equivalence
+tensors bake the window filter in).  The tier matrix and equivalence
 contracts live in ``docs/kernels.md``.
 
 Online (streaming) support
@@ -111,8 +107,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.exceptions import ModelError
-from repro.core.kernels import KERNEL_TIERS, resolve_kernel
-from repro.core.kernels import compiled as _compiled_kernels
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
 
@@ -152,13 +146,32 @@ _BOUND_MEMO_LIMIT = 8192
 _BATCH_MEMO_LIMIT = 64
 _BLOCKING_MEMO_LIMIT = 64
 
-#: Kernel tiers selectable per analyzer (re-exported from
-#: :mod:`repro.core.kernels`, the single registry shared with the CLI,
-#: the campaign specs and the online admission cells).
+#: Every kernel value accepted by ``DelayAnalyzer(kernel=...)``, the
+#: CLI ``--kernel`` flags, the campaign ``kernel`` knob and the online
+#: scenario specs.  The first entry is the default everywhere.
+KERNEL_TIERS = ("paired", "reference")
+
+#: Public alias of :data:`KERNEL_TIERS` (exported by :mod:`repro.core`).
 KERNELS = KERNEL_TIERS
 
 #: Row selector meaning "every job" in the batch kernels.
 _ALL_ROWS = slice(None)
+
+
+def resolve_kernel(requested: str, *, window_filter: bool = True) -> str:
+    """Map a requested kernel value to the effective evaluation tier.
+
+    Unknown values raise ``ValueError`` naming the valid tiers.  With
+    ``window_filter=False`` every tier resolves to ``"reference"``:
+    the premasked contribution tensors bake the window-overlap filter
+    in, so only the tensor path can serve unfiltered analyzers.
+    """
+    if requested not in KERNEL_TIERS:
+        raise ValueError(
+            f"kernel must be one of {KERNEL_TIERS}, got {requested!r}")
+    if not window_filter:
+        return "reference"
+    return requested
 
 
 def _evict_to_limit(memo: dict, limit: int) -> None:
@@ -213,13 +226,10 @@ class DelayAnalyzer:
         ``"paired"`` (default) serves :meth:`level_bounds` from the
         pairwise-contribution matrices (see the module docstring);
         ``"reference"`` keeps every evaluation on the broadcast tensor
-        path, used as the reference in kernel-equivalence tests;
-        ``"compiled"`` runs the (optionally numba-jitted) loop
-        primitives of :mod:`repro.core.kernels` and raises
-        :class:`~repro.core.kernels.CompiledKernelUnavailable` when
-        numba is absent.  Analyzers built with ``window_filter=False``
-        always run on ``"reference"`` -- :attr:`kernel` is the
-        effective tier, :attr:`requested_kernel` the input.
+        path, used as the reference in kernel-equivalence tests.
+        Analyzers built with ``window_filter=False`` always run on
+        ``"reference"`` -- :attr:`kernel` is the effective tier,
+        :attr:`requested_kernel` the input.
     """
 
     def __init__(self, jobset: JobSet, *,
@@ -854,21 +864,17 @@ class DelayAnalyzer:
         the pairwise-contribution cache: the job-additive term is the
         masked reduction ``(C * cols).sum(axis=1)`` with ``cols =
         unassigned & active``, and each stage-additive/blocking term is
-        one column-masked row-max over a premasked ``(n, n)`` slice of
-        :attr:`SegmentCache.epq`/:attr:`SegmentCache.epb` -- no
-        ``(n, n)`` relation mask is ever rebuilt per level, and Eq. 5's
+        one column-masked row-max over a premasked ``(n, n)`` stage
+        plane of :attr:`SegmentCache.epq_s`/:attr:`SegmentCache.epb_s`
+        -- no ``(n, n)`` relation mask is ever rebuilt per level, and Eq. 5's
         priority-independent blocking vector is computed once per
         ``active`` context.  Every reduction runs over the same
         operands in the same association as the reference broadcast
         path, so values are **bitwise identical** between the two
         kernels for every actual candidate (jobs in ``unassigned &
         active``); rows outside that set are only meaningful on the
-        reference path.  ``kernel="compiled"`` runs the same premasked
-        operands through the left-fold loop primitives of
-        :mod:`repro.core.kernels.compiled`, agreeing with the
-        reference within ``1e-9`` relative tolerance (the tier matrix
-        lives in ``docs/kernels.md``).  Entries of jobs outside
-        ``active`` are ``nan``.
+        reference path.  Entries of jobs outside ``active`` are
+        ``nan``.
         """
         if equation not in ALL_EQUATIONS:
             raise ValueError(f"unknown equation {equation!r}; "
@@ -899,9 +905,6 @@ class DelayAnalyzer:
         if self._kernel == "paired":
             delays = self._level_paired(equation, unassigned,
                                         assigned_lower, active, row_sel)
-        elif self._kernel == "compiled":
-            delays = self._level_compiled(equation, unassigned,
-                                          assigned_lower, active, row_sel)
         else:
             size = n if row_sel is _ALL_ROWS else row_sel.size
             higher_of = np.broadcast_to(unassigned, (size, n))
@@ -1068,82 +1071,6 @@ class DelayAnalyzer:
             blocking = self._eq5_blocking(active)[rows]
             return job_additive + stage_additive + blocking
         return job_additive + stage_additive  # eq3 / eq6
-
-    def _level_compiled(self, equation: str, unassigned: np.ndarray,
-                        assigned_lower: np.ndarray | None,
-                        active: np.ndarray | None, rows) -> np.ndarray:
-        """Compiled-tier level evaluation: the per-equation term
-        assembly of :meth:`_level_paired` with the masked reductions
-        delegated to the loop primitives of
-        :mod:`repro.core.kernels.compiled` (numba-jitted when
-        available, plain-python fallback otherwise).
-
-        The left-fold sums round differently from the numpy pairwise
-        trees, so this tier matches the reference within the
-        documented ``1e-9`` relative tolerance instead of bitwise;
-        single-row probes route through this very method (``rows`` of
-        length one), so single-vs-batch stays bitwise within the tier.
-        """
-        cache = self._cache
-        cols = unassigned if active is None else unassigned & active
-        contrib = self._contribution(equation)
-        if rows is _ALL_ROWS:
-            row_idx = np.arange(self._n, dtype=np.int64)
-        else:
-            row_idx = rows
-        out = np.zeros(row_idx.size)
-        last = self._num_stages - 1
-        if equation in ("eq3", "eq5", "eq6"):
-            # The fused frontier probe covers the job-additive pair
-            # sum, the self term and the stage-additive maxima in one
-            # jit dispatch -- the online admission hot path.  Every
-            # row's accumulation is independent of which other rows
-            # are evaluated, so arbitrary row subsets stay bitwise
-            # identical to the corresponding full-batch entries
-            # within this tier.
-            _compiled_kernels.level_probe(
-                contrib.C, contrib.self_add, cache.epq, cols, row_idx,
-                last, out)
-            if equation == "eq5":
-                # The priority-independent blocking vector is shared
-                # with the paired tier (memoised per ``active``).
-                out += self._eq5_blocking(active)[row_idx]
-            return out
-        _compiled_kernels.pair_sum(contrib.C, cols, row_idx, out)
-        if contrib.extra is not None:
-            _compiled_kernels.pair_sum(contrib.extra, cols, row_idx, out)
-        if contrib.self_add is not None:
-            out += contrib.self_add[row_idx]
-        if equation in ("eq1", "eq2"):
-            self._require_single_resource(equation)
-            _compiled_kernels.stage_sum(
-                cache.pq, cols, row_idx, 0, last, out)
-            if equation == "eq2":
-                low = (assigned_lower if active is None
-                       else assigned_lower & active)
-                _compiled_kernels.stage_sum(
-                    cache.pb, low, row_idx, 0, self._num_stages, out)
-            return out
-        if equation == "eq10":
-            if self._num_stages != 3:
-                raise ModelError(
-                    f"eq10 models the 3-stage edge pipeline, "
-                    f"system has {self._num_stages} stages")
-            _compiled_kernels.stage_sum(
-                cache.epq, cols, row_idx, 0, 2, out)
-            low = (assigned_lower if active is None
-                   else assigned_lower & active)
-            _compiled_kernels.stage_sum(
-                cache.epb, low, row_idx, 2, 3, out)
-            return out
-        _compiled_kernels.stage_sum(
-            cache.epq, cols, row_idx, 0, last, out)
-        if equation == "eq4":
-            low = (assigned_lower if active is None
-                   else assigned_lower & active)
-            _compiled_kernels.stage_sum(
-                cache.epb, low, row_idx, 0, self._num_stages, out)
-        return out
 
     def level_bound_single(self, i: int, unassigned: np.ndarray,
                            assigned_lower: np.ndarray | None = None, *,

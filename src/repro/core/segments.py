@@ -126,35 +126,29 @@ class SegmentCache:
 
     Lazy contribution tensors (the pairwise-contribution kernel cache;
     materialised on first access and sliced, never recomputed, by
-    :meth:`restrict`):
+    :meth:`restrict`), each ``(N, n, n)`` and C-contiguous, so one
+    *stage plane* ``epq_s[j]`` is a single contiguous ``(n, n)`` read:
 
-    ``epq``
-        ``(n, n, N)`` -- ``ep`` pre-masked by the priority-independent
-        interference filter ``Q``-style: entry ``[i, k, j]`` is
-        ``ep_{k,j}`` when ``J_k`` window-overlaps ``J_i`` (or ``k ==
-        i``), else 0.  The per-level stage-additive term of any bound
-        is then one column-masked row-max per stage -- no per-level
+    ``epq_s``
+        ``ep`` pre-masked by the priority-independent interference
+        filter ``Q``-style: entry ``[j, i, k]`` is ``ep_{k,j}`` when
+        ``J_k`` window-overlaps ``J_i`` (or ``k == i``), else 0.  The
+        per-level stage-additive term of any bound is then one
+        column-masked row-max per stage plane -- no per-level
         ``(n, n)`` relation mask ever has to be rebuilt.
-    ``epb``
+    ``epb_s``
         Same, without the self diagonal: the candidate matrix of the
         non-preemptive blocking terms (Eqs. 2/4/5/10).
-    ``pq`` / ``pb``
+    ``pq_s`` / ``pb_s``
         Raw-``P`` counterparts used by the single-resource bounds
-        (Eqs. 1-2): ``pq[i, k, j] = P[k, j]`` when ``J_k`` overlaps
+        (Eqs. 1-2): ``pq_s[j, i, k] = P[k, j]`` when ``J_k`` overlaps
         ``J_i`` or ``k == i``, else 0.
-    ``epq_s`` / ``epb_s`` / ``pq_s`` / ``pb_s``
-        Stage-major twins of the four tensors above: ``(N, n, n)``
-        C-contiguous, so one *stage plane* ``epq_s[j]`` is a single
-        contiguous ``(n, n)`` read.  The per-stage column-masked
-        row-max of the paired level kernel walks stages in its outer
-        loop; on the job-major layout each stage slice strides by
-        ``N`` and pulls the whole tensor through cache once per
-        stage, which is what made the paired kernel *lose* to the
-        reference path at large ``n``.  Each twin is built in one
-        pass straight from ``ep`` (or ``P``), never from its job-major
-        counterpart, so the job-major tensors exist only where they
-        are read (the compiled tier).  Same values, same lazy
-        build-once semantics.
+
+    The paired level kernel walks stages in its outer loop; a
+    job-major ``(n, n, N)`` layout would stride each stage slice by
+    ``N`` and pull the whole tensor through cache once per stage,
+    which is what made the paired kernel *lose* to the reference path
+    at large ``n``.
     """
 
     def __init__(self, jobset: JobSet) -> None:
@@ -232,27 +226,23 @@ class SegmentCache:
 
     def __getattr__(self, name: str):
         # Only called for attributes not yet materialised.
-        if name in _LAZY_PAIR_FIELDS:
-            value = self._build_contribution(name, stage_major=False)
-        elif name in _STAGE_MAJOR_FIELDS:
-            value = self._build_contribution(name[:-2], stage_major=True)
+        if name in _STAGE_MAJOR_FIELDS:
+            value = self._build_contribution(name[:-2])
         else:
             raise AttributeError(name)
         setattr(self, name, value)
         return value
 
-    def _build_contribution(self, name: str, *,
-                            stage_major: bool) -> np.ndarray:
-        """Materialise one premasked contribution tensor, job-major
-        ``(n, n, N)`` or as its stage-major ``(N, n, n)`` twin.
+    def _build_contribution(self, name: str) -> np.ndarray:
+        """Materialise one premasked ``(N, n, n)`` contribution tensor
+        in one pass straight from ``ep`` (or ``P``).
 
         ``q``-variants include the self diagonal (``J_i`` is always in
         its own ``Q_i``); ``b``-variants exclude it (a job never blocks
         itself).  Both bake in the window-overlap filter, which is why
         the paired kernels of :class:`~repro.core.dca.DelayAnalyzer`
-        only engage when ``window_filter`` is on (the default).  Either
-        layout holds each kept source value or ``0.0``, so a twin is
-        bitwise the transpose of its job-major tensor.
+        only engage when ``window_filter`` is on (the default).  Each
+        entry is a kept source value or ``0.0``.
         """
         jobset = self._jobset
         n, num_stages = jobset.num_jobs, jobset.num_stages
@@ -265,8 +255,6 @@ class SegmentCache:
         else:
             source = np.broadcast_to(jobset.P[None, :, :],
                                      (n, n, num_stages))
-        if not stage_major:
-            return np.where(keep[:, :, None], source, 0.0)
         out = np.zeros((num_stages, n, n))
         np.copyto(out, source.transpose(2, 0, 1), where=keep[None])
         return out
@@ -337,19 +325,13 @@ def _sort_descending(values: np.ndarray) -> np.ndarray:
 
 #: Fields of the cache whose leading *two* axes index (job, job).
 _PAIR_FIELDS = ("ep", "et_sorted", "et_cumsum", "et1", "et2",
-                "m", "u", "v", "w", "W",
-                "epq", "epb", "pq", "pb")
+                "m", "u", "v", "w", "W")
 
-#: Premasked contribution tensors, built on first access (window
-#: overlap is a pure pair predicate, so a slice of a parent tensor is
-#: bitwise identical to the subset's own -- `_SlicedSegmentCache`
-#: simply gathers them like any other pair field).
-_LAZY_PAIR_FIELDS = ("epq", "epb", "pq", "pb")
-
-#: Stage-major ``(N, n, n)`` contiguous twins of the contribution
-#: tensors (strip the ``_s`` suffix for the job-major field).  Their
+#: Premasked stage-major ``(N, n, n)`` contribution tensors, built on
+#: first access.  Window overlap is a pure pair predicate, so a slice
+#: of a parent tensor is bitwise identical to the subset's own; their
 #: (job, job) axes are the trailing two, so a sliced cache gathers
-#: them from the parent's twin along axes 1 and 2.
+#: them from the parent's along axes 1 and 2.
 _STAGE_MAJOR_FIELDS = ("epq_s", "epb_s", "pq_s", "pb_s")
 
 #: Fields indexed by a single job axis.
@@ -375,7 +357,7 @@ class _SlicedSegmentCache(SegmentCache):
     def __getattr__(self, name: str):
         # Only called for attributes not yet materialised.  ``take``
         # returns C-contiguous gathers, so a stage plane of a sliced
-        # twin is one contiguous read, as on an unsliced cache.
+        # tensor is one contiguous read, as on an unsliced cache.
         idx = self._idx
         if name in _PAIR_FIELDS:
             value = getattr(self._parent, name).take(idx, 0).take(idx, 1)

@@ -364,22 +364,6 @@ SCALABILITY_TIMINGS = ("segments", "dm", "dmr", "opdca", "opdca/serial",
                        "opt", "bounds/batched", "bounds/scalar",
                        "level/paired", "level/reference")
 
-#: Extra tier columns measured only when numba is importable: the
-#: compiled level kernel and a full OPDCA run on it (the benchmark's
-#: with-numba CI leg publishes them; the plain leg never sees them, so
-#: the committed baselines stay comparable across both).
-SCALABILITY_COMPILED_TIMINGS = ("level/compiled", "opdca/compiled")
-
-
-def scalability_timings() -> "tuple[str, ...]":
-    """The timing columns of this run (compiled tier included when
-    the optional numba dependency is importable)."""
-    from repro.core.kernels import HAS_NUMBA
-
-    if HAS_NUMBA:
-        return SCALABILITY_TIMINGS + SCALABILITY_COMPILED_TIMINGS
-    return SCALABILITY_TIMINGS
-
 
 def _scalability_case(config: EdgeWorkloadConfig,
                       seed: int) -> dict[str, float]:
@@ -474,24 +458,6 @@ def _scalability_case(config: EdgeWorkloadConfig,
     timings["level/reference"] = best_of(
         3, level_pass,
         make=lambda: DelayAnalyzer(jobset, kernel="reference"))
-
-    from repro.core.kernels import HAS_NUMBA
-
-    if HAS_NUMBA:
-        def warm_compiled():
-            analyzer = DelayAnalyzer(jobset, kernel="compiled")
-            # Also triggers the one-off numba jit compilation, which
-            # must never land in a timed region.
-            analyzer.level_bounds(unassigned, assigned, equation="eq10")
-            return analyzer
-
-        timings["level/compiled"] = best_of(
-            3, level_pass, make=warm_compiled)
-        test = SDCA(jobset, "eq10",
-                    analyzer=DelayAnalyzer(jobset, kernel="compiled"))
-        start = time.perf_counter()
-        opdca(jobset, "eq10", test=test)
-        timings["opdca/compiled"] = time.perf_counter() - start
     return timings
 
 
@@ -505,9 +471,8 @@ def scalability(*, job_counts: tuple[int, ...] = (25, 50, 100, 150),
     the batched all-jobs bound evaluation over the legacy per-job loop
     (``speedup(bounds)``), of the vectorised OPDCA candidate scan over
     the serial one (``speedup(opdca)``), and of the paired level
-    kernel over the reference path (``speedup(level)``); when numba is
-    importable the compiled-tier twins ``speedup(level/compiled)`` /
-    ``speedup(opdca/compiled)`` ride along (see ``docs/kernels.md``).
+    kernel over the reference path (``speedup(level)``; see
+    ``docs/kernels.md``).
     """
     configs = []
     for num_jobs in job_counts:
@@ -522,15 +487,15 @@ def scalability(*, job_counts: tuple[int, ...] = (25, 50, 100, 150),
          for config in configs for offset in range(cases)],
         n_workers=n_workers)
 
-    timing_names = scalability_timings()
     rows = []
     for index, num_jobs in enumerate(job_counts):
         chunk = case_timings[index * cases:(index + 1) * cases]
         means = {name: float(np.mean([t[name] for t in chunk]))
-                 for name in timing_names}
+                 for name in SCALABILITY_TIMINGS}
         row = {
             "jobs": num_jobs,
-            **{f"t({name}) s": means[name] for name in timing_names},
+            **{f"t({name}) s": means[name]
+               for name in SCALABILITY_TIMINGS},
             "speedup(bounds)": means["bounds/scalar"]
             / max(means["bounds/batched"], 1e-12),
             "speedup(opdca)": means["opdca/serial"]
@@ -538,16 +503,6 @@ def scalability(*, job_counts: tuple[int, ...] = (25, 50, 100, 150),
             "speedup(level)": means["level/reference"]
             / max(means["level/paired"], 1e-12),
         }
-        if "level/compiled" in means:
-            # Compiled-tier ratios share the reference/serial
-            # numerators of their paired twins, so the columns are
-            # directly comparable in one table.
-            row["speedup(level/compiled)"] = (
-                means["level/reference"]
-                / max(means["level/compiled"], 1e-12))
-            row["speedup(opdca/compiled)"] = (
-                means["opdca/serial"]
-                / max(means["opdca/compiled"], 1e-12))
         rows.append(row)
     context = f"{cases} cases per size, resources scaled with n"
     if n_workers > 1:

@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Mapping
 
 from repro import obs
 from repro.core.admission import AdmissionResult
-from repro.core.kernels import KERNEL_TIERS
+from repro.core.dca import KERNEL_TIERS
 from repro.core.schedulability import Policy
 from repro.core.system import JobSet
 from repro.online.incremental import (
@@ -57,8 +57,8 @@ DECISION_MEMO_LIMIT = 256
 CELL_MODES = ("incremental", "cold")
 
 #: Level-evaluation kernels a cell accepts (the shared tier registry
-#: of :mod:`repro.core.kernels`; validated here so the CLI knob fails
-#: fast at engine construction, not deep in the analyzer).
+#: :data:`repro.core.dca.KERNEL_TIERS`; validated here so the CLI knob
+#: fails fast at engine construction, not deep in the analyzer).
 CELL_KERNELS = KERNEL_TIERS
 
 #: Cell event outcomes counted in the ``repro.obs`` registry.

@@ -310,6 +310,9 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         if retry_limit < 0:
             raise ValueError(
                 f"retry_limit must be >= 0, got {retry_limit}")
+        if validate_every < 0:
+            raise ValueError(
+                f"validate_every must be >= 0, got {validate_every}")
         self._stream = stream
         self._policy = policy
         self._mode = mode

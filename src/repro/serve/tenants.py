@@ -170,15 +170,21 @@ class Tenant:
     def __init__(self, name: str, spec: OnlineScenarioSpec) -> None:
         self.name = name
         self.spec = spec
+        # Bad scenario knobs surface here, at construction, as client
+        # errors: generate_stream rejects the seed, the engine the
+        # mode, kernel, shard count and limits.
         try:
             self.stream = generate_stream(spec.stream, seed=spec.seed)
-        except ModelError as error:
+        except (ModelError, TypeError, ValueError) as error:
             raise ServeError(str(error)) from None
         if not self.stream.events:
             raise ServeError(
                 f"tenant {name!r}: the scenario materialises an "
                 f"empty stream (nothing to serve)")
-        self.engine = build_engine(self.stream, spec)
+        try:
+            self.engine = build_engine(self.stream, spec)
+        except (ModelError, TypeError, ValueError) as error:
+            raise ServeError(str(error)) from None
         #: Processed events, in order: ``[kind, uid, time]`` triples
         #: (JSON-ready).  Replaying the journal through a fresh
         #: tenant reproduces the engine state bit-for-bit.

@@ -422,11 +422,8 @@ class TestShardsAndKernel:
             tiny_spec(axes={**base, "shards": ("two",)})
 
     def test_kernel_knob_round_trips(self):
-        # Every tier in the shared registry -- including "compiled"
-        # -- is a valid campaign value: the knob is resolved at run
-        # time, not at spec validation (a spec written on a numba
-        # machine must still load elsewhere).
-        from repro.core.kernels import KERNEL_TIERS
+        # Every tier in the shared registry is a valid campaign value.
+        from repro.core.dca import KERNEL_TIERS
 
         for kernel in KERNEL_TIERS:
             spec = tiny_spec(kernel=kernel)
@@ -445,7 +442,7 @@ class TestShardsAndKernel:
     def test_kernel_knob_rejects_auto(self):
         with pytest.raises(CampaignError) as error:
             tiny_spec(kernel="auto")
-        assert "('paired', 'reference', 'compiled')" in str(error.value)
+        assert "('paired', 'reference')" in str(error.value)
 
     def test_kernel_knob_reaches_online_scenarios(self):
         spec = tiny_spec(kernel="reference")

@@ -19,8 +19,8 @@ from repro.core.segments import (
 from repro.core.system import JobSet
 from repro.workload.random_jobs import RandomInstanceConfig, random_jobset
 
-#: Every array field of a segment cache, the lazy contribution tensors
-#: and their stage-major twins included.
+#: Every array field of a segment cache, the lazy stage-major
+#: contribution tensors included.
 CACHE_FIELDS = _PAIR_FIELDS + _STAGE_MAJOR_FIELDS + _JOB_FIELDS
 
 
@@ -203,12 +203,23 @@ class TestSegmentCachePartition:
 
     def test_unsliced_twins_are_transposed_job_major(self):
         """Twins are built natively from ``ep``/``P``, not by
-        transposing: they must still be the job-major tensors'
-        transposes, byte for byte."""
-        cache = SegmentCache(_jobset(n=10, resources=2, seed=8))
+        transposing: they must still be the transposes of the
+        job-major premasked tensors, byte for byte."""
+        jobset = _jobset(n=10, resources=2, seed=8)
+        cache = SegmentCache(jobset)
+        n, num_stages = jobset.num_jobs, jobset.num_stages
+        eye = np.eye(n, dtype=bool)
         for name in _STAGE_MAJOR_FIELDS:
-            twin = getattr(cache, name)  # before its job-major field
-            job_major = getattr(cache, name[:-2])
+            twin = getattr(cache, name)
+            # Job-major reference: epq/pq keep the self diagonal,
+            # epb/pb drop it; ep* mask ep, p* mask the raw P.
+            keep = jobset.overlaps & ~eye
+            if name in ("epq_s", "pq_s"):
+                keep |= eye
+            source = (cache.ep if name.startswith("ep")
+                      else np.broadcast_to(jobset.P[None, :, :],
+                                           (n, n, num_stages)))
+            job_major = np.where(keep[:, :, None], source, 0.0)
             expected = np.ascontiguousarray(job_major.transpose(2, 0, 1))
             assert twin.flags.c_contiguous, name
             assert twin.tobytes() == expected.tobytes(), name

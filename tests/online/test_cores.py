@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.kernels import KERNEL_TIERS
+from repro.core.dca import KERNEL_TIERS
 from repro.online.cell import AdmissionCell
 from repro.online.incremental import (
     IncrementalAnalyzer,
@@ -79,13 +79,6 @@ def _log(engine):
     return rows
 
 
-def _use_kernel(kernel, monkeypatch):
-    if kernel == "compiled":
-        import repro.core.kernels as kernels
-
-        monkeypatch.setattr(kernels, "FORCE_FALLBACK", True)
-
-
 class TestSkipIsInvisible:
     @pytest.mark.parametrize("kernel", KERNEL_TIERS)
     @pytest.mark.parametrize("policy", _POLICIES)
@@ -95,7 +88,6 @@ class TestSkipIsInvisible:
         """A core store that never matches runs every retry through
         the controller; the deterministic result and the decision log
         are identical to the run the cores answered."""
-        _use_kernel(kernel, monkeypatch)
         stream = _stream_for(shards)
 
         def run():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import KERNEL_TIERS
+from repro.core.dca import KERNEL_TIERS
 from repro.core.system import JobSet
 from repro.online.engine import (
     OnlineAdmissionEngine,
@@ -96,17 +96,10 @@ class TestColdEquivalence:
 
     @pytest.mark.parametrize("shards", (1, 2))
     @pytest.mark.parametrize("kernel", KERNEL_TIERS)
-    def test_incremental_and_cold_engines_agree(self, kernel, shards,
-                                                monkeypatch):
+    def test_incremental_and_cold_engines_agree(self, kernel, shards):
         """Every kernel tier's incremental engine against the cold
         controller on a congested stream (accept, reject, evict and
-        retry all fire).  ``compiled`` runs on the forced pure-python
-        fallback loops (arithmetic-identical to the jitted
-        primitives), so the test needs no optional dependency."""
-        if kernel == "compiled":
-            import repro.core.kernels as kernels
-
-            monkeypatch.setattr(kernels, "FORCE_FALLBACK", True)
+        retry all fire)."""
         stream = generate_stream(_CONGESTED, seed=2 + shards)
         warm, cold = (
             _strip_certificate_paths(ShardedAdmissionEngine(
@@ -344,6 +337,8 @@ class TestEngineMechanics:
                 OnlineAdmissionEngine(source, kernel="bogus")
             with pytest.raises(ValueError):
                 OnlineAdmissionEngine(source, retry_limit=-1)
+            with pytest.raises(ValueError, match="validate_every"):
+                OnlineAdmissionEngine(source, validate_every=-1)
 
     def test_auto_kernel_rejected(self):
         from repro.online.streams import OnlineStream
@@ -355,8 +350,8 @@ class TestEngineMechanics:
             with pytest.raises(ValueError) as error:
                 ShardedAdmissionEngine(source, kernel="auto")
             assert str(error.value) == (
-                "kernel must be one of ('paired', 'reference', "
-                "'compiled'), got 'auto'")
+                "kernel must be one of ('paired', 'reference'), "
+                "got 'auto'")
 
 
 class TestEventValidation:

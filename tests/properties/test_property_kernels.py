@@ -35,7 +35,12 @@ from repro.core.admission import (
     _StockExcessLevels,
     opdca_admission,
 )
-from repro.core.dca import ALL_EQUATIONS, DelayAnalyzer
+from repro.core.dca import (
+    ALL_EQUATIONS,
+    KERNEL_TIERS,
+    DelayAnalyzer,
+    resolve_kernel,
+)
 from repro.core.opa import audsley, audsley_frontier
 from repro.core.opdca import opdca
 from repro.core.schedulability import SDCA, Policy
@@ -206,6 +211,28 @@ class TestKernelEquivalence:
                                        equation="eq10", rows=rows)
         assert np.array_equal(full[rows], sliced)
 
+    def test_invalidate_job_preserves_values(self):
+        """The online departure path: purging memo entries that
+        involve a job must not change any re-queried value."""
+        jobset = generate_edge_case(
+            EdgeWorkloadConfig(num_jobs=12, num_aps=4, num_servers=3),
+            seed=2).jobset
+        n = jobset.num_jobs
+        analyzer = DelayAnalyzer(jobset)
+        rng = np.random.default_rng(5)
+        unassigned = rng.random(n) < 0.7
+        unassigned[1] = True
+        lower = ~unassigned & (rng.random(n) < 0.5)
+        # eq5's level-independent blocking vector is memoised per
+        # active mask, so the purge has something to drop.
+        before = analyzer.level_bounds(unassigned, lower,
+                                       equation="eq5")
+        dropped = analyzer.invalidate_job(1)
+        assert sum(dropped.values()) > 0
+        after = analyzer.level_bounds(unassigned, lower,
+                                      equation="eq5")
+        assert np.array_equal(before, after)
+
     def test_window_filter_off_falls_back_to_reference(self):
         jobset = generate_edge_case(
             EdgeWorkloadConfig(num_jobs=8, num_aps=3, num_servers=3),
@@ -219,6 +246,39 @@ class TestKernelEquivalence:
             seed=1).jobset
         with pytest.raises(ValueError, match="kernel"):
             DelayAnalyzer(jobset, kernel="blas")
+
+
+class TestKernelResolution:
+    """``resolve_kernel``: the tier registry's validation and the
+    window-filter downgrade, shared by every ``kernel`` knob."""
+
+    def test_window_filter_off_resolves_to_reference(self):
+        for kernel in KERNEL_TIERS:
+            assert resolve_kernel(kernel,
+                                  window_filter=False) == "reference"
+
+    def test_unknown_kernel_rejected(self):
+        for kernel in ("blas", "compiled"):
+            with pytest.raises(ValueError, match="paired"):
+                resolve_kernel(kernel)
+
+    def test_auto_is_not_a_tier(self):
+        jobset = generate_edge_case(
+            EdgeWorkloadConfig(num_jobs=6, num_aps=3, num_servers=3),
+            seed=1).jobset
+        with pytest.raises(ValueError) as error:
+            DelayAnalyzer(jobset, kernel="auto")
+        assert str(error.value) == (
+            "kernel must be one of ('paired', 'reference'), got 'auto'")
+
+    def test_requested_kernel_survives_resolution(self):
+        jobset = generate_edge_case(
+            EdgeWorkloadConfig(num_jobs=4, num_aps=3, num_servers=3),
+            seed=1).jobset
+        analyzer = DelayAnalyzer(jobset, kernel="paired",
+                                 window_filter=False)
+        assert analyzer.requested_kernel == "paired"
+        assert analyzer.kernel == "reference"
 
 
 def stock_opdca_admission(jobset,

@@ -149,6 +149,26 @@ class TestSmoke:
 
         asyncio.run(with_service(scenario))
 
+    @pytest.mark.parametrize("knob, value", [
+        ("mode", "warm"), ("retry_limit", -1), ("shards", 0),
+        ("kernel", "bogus"), ("kernel", "compiled"), ("seed", "x"),
+        ("validate_every", -1),
+    ])
+    def test_bad_scenario_knob_gets_400(self, knob, value):
+        """A knob the stream generator or the engine refuses is a
+        client error, and it registers no tenant."""
+        async def scenario(service, client):
+            names = service.tenants.names()
+            status, body = await client.request(
+                "POST", "/v1/tenants",
+                {"name": "t",
+                 "scenario": {**scenario_to_dict(SPEC), knob: value}})
+            assert status == 400, body
+            assert service.tenants.names() == names
+            await create_tenant(client)
+
+        asyncio.run(with_service(scenario))
+
     def test_repeated_and_unknown_uids_get_400(self):
         async def scenario(service, client):
             await create_tenant(client)
