@@ -28,8 +28,9 @@ After the flat profile each target prints a **per-phase breakdown**:
 profiler rows bucketed into the four hot-path phases -- ``probe``
 (level-bound evaluation: paired frontier probes),
 ``splice`` (certified-band and priority-order surgery),
-``cache-invalidate`` (departure-path memo/segment eviction) and
-``memo`` (subset-analysis reuse) -- with own-time and share of total.
+``evict`` (memo FIFO eviction and dropped frontier rows) and
+``slice-seed`` (per-decision subset slicing and bound seeding) --
+with own-time and share of total.
 ``docs/kernels.md`` walks through reading it.
 
 This is a developer tool: output is wall-clock and machine-dependent.
@@ -121,14 +122,13 @@ PHASES: "dict[str, tuple[str, ...]]" = {
         "_drop_stage_maxima", "remove", "remove_many",
         "_order_rebase_shard",
     ),
-    # Departure path: memo and segment-cache eviction.
-    "cache-invalidate": (
-        "invalidate_job", "_evict_to_limit", "forget", "depart",
+    # Memo FIFO eviction and the frontier driver's dropped rows.
+    "evict": (
+        "_evict_to_limit", "forget",
     ),
-    # Cross-decision subset-analysis reuse (LRU memo) and bound
-    # seeding.
-    "memo": (
-        "subset", "remember", "_analysis", "seed",
+    # Per-decision subset slicing and bound seeding.
+    "slice-seed": (
+        "subset", "_analysis", "remember", "seed",
     ),
 }
 

@@ -45,13 +45,16 @@ OPA, DMR repair and the experiment sweeps out of Python:
   :meth:`delays_for_ordering` are thin wrappers around it, and
   ``SDCA.audsley_batch`` uses it to test all Audsley candidates of a
   priority level at once.
-* Interference masks and evaluated bounds are memoised keyed on
-  ``(i, equation, active)`` (masks serialised to bytes), so repeated
-  evaluations with identical priority context -- ubiquitous in the
-  OPA/OPDCA and admission-controller loops where only one job changes
-  per iteration -- are answered from cache instead of being rebuilt
-  from scratch.  Caches are bounded (FIFO eviction) and private to the
-  analyzer, which is itself bound to one immutable job set.
+* Interference masks are memoised keyed on ``(i, active)`` (masks
+  serialised to bytes) and whole :meth:`delays_for_pairwise` vectors
+  on ``(equation, x, active)``, so repeated evaluations with an
+  identical priority context -- ubiquitous in the OPA/OPDCA and
+  admission-controller loops where only one job changes per
+  iteration -- are answered from cache instead of being rebuilt from
+  scratch.  Caches are bounded (FIFO eviction) and private to the
+  analyzer, which is itself bound to one immutable job set.  Scalar
+  :meth:`delay_bound` values are not memoised: no caller repeats a
+  context (see the cache table in ``docs/kernels.md``).
 
 Pairwise-contribution kernel cache
 ----------------------------------
@@ -86,7 +89,7 @@ contracts live in ``docs/kernels.md``.
 Online (streaming) support
 --------------------------
 The streaming admission engine (:mod:`repro.online`) analyses a live
-subset of a fixed job universe, one arrival/departure at a time.  Three
+subset of a fixed job universe, one arrival/departure at a time.  Two
 hooks keep its per-event cost far below a cold re-analysis:
 
 * an analyzer can be constructed around a pre-built (e.g. sliced)
@@ -94,10 +97,7 @@ hooks keep its per-event cost far below a cold re-analysis:
   argument, skipping the segment algebra entirely;
 * :meth:`DelayAnalyzer.delay_bounds_rows` evaluates the bound for a
   chosen subset of jobs only, bitwise identical to the corresponding
-  rows of :meth:`DelayAnalyzer.delay_bounds_all`;
-* :meth:`DelayAnalyzer.invalidate_job` purges exactly the memo entries
-  whose context involves a departed job, so long-running engines keep
-  every still-live entry instead of FIFO-evicting blindly.
+  rows of :meth:`DelayAnalyzer.delay_bounds_all`.
 """
 
 from __future__ import annotations
@@ -140,9 +140,8 @@ MaskLike = "np.ndarray | Iterable[int]"
 
 #: Entry caps of the per-analyzer memo dictionaries (FIFO eviction).
 #: Sized for the working sets of one OPA/admission run: ``n`` distinct
-#: active masks and a few thousand (i, context) bound evaluations.
+#: active masks.
 _MASK_MEMO_LIMIT = 1024
-_BOUND_MEMO_LIMIT = 8192
 _BATCH_MEMO_LIMIT = 64
 _BLOCKING_MEMO_LIMIT = 64
 
@@ -258,8 +257,6 @@ class DelayAnalyzer:
         self._eye = np.eye(self._n, dtype=bool)
         #: (i, active) -> base interference mask / eq5 blocking mask.
         self._mask_memo: dict[tuple, np.ndarray] = {}
-        #: (i, equation, higher, lower, active) -> bound value.
-        self._bound_memo: dict[tuple, float] = {}
         #: (equation, x, active) -> delay vector of delays_for_pairwise.
         self._batch_memo: dict[tuple, np.ndarray] = {}
         #: equation -> job-additive contribution matrices (pure
@@ -275,10 +272,10 @@ class DelayAnalyzer:
         self._band_memo: dict[str, tuple] = {}
         #: Per-memo hit/miss tallies (see :meth:`cache_stats`); plain
         #: dict increments so the hot-path cost stays sub-microsecond.
-        self._cache_hits = {"masks": 0, "bounds": 0, "batches": 0,
-                            "blocking": 0, "contrib": 0}
-        self._cache_misses = {"masks": 0, "bounds": 0, "batches": 0,
-                              "blocking": 0, "contrib": 0}
+        self._cache_hits = {"masks": 0, "batches": 0, "blocking": 0,
+                            "contrib": 0}
+        self._cache_misses = {"masks": 0, "batches": 0, "blocking": 0,
+                              "contrib": 0}
 
     @property
     def jobset(self) -> JobSet:
@@ -327,68 +324,10 @@ class DelayAnalyzer:
     def _active_key(active: np.ndarray | None) -> bytes | None:
         return None if active is None else active.tobytes()
 
-    # ------------------------------------------------------------------
-    # Delta updates (online arrivals/departures)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _key_mask_contains(key_part: bytes | None, job: int) -> bool:
-        """Whether a serialised mask key involves ``job``.
-
-        ``None`` encodes "no restriction" (every job active), which
-        trivially contains any job.
-        """
-        if key_part is None:
-            return True
-        return bool(np.frombuffer(key_part, dtype=bool)[job])
-
-    def invalidate_job(self, job: int) -> dict[str, int]:
-        """Drop every memoised entry whose context involves ``job``.
-
-        Memo entries are pure functions of their keys, so they never
-        become *wrong* -- but once a job departs an online system, any
-        entry whose subject is ``job`` or whose higher/lower/active
-        masks contain it cannot be queried again until the job
-        returns.  Purging exactly those entries keeps the memos small
-        without FIFO-evicting entries that are still live, which is
-        what makes per-event cost of the streaming admission engine
-        independent of how long the engine has been running.
-
-        Returns the number of dropped entries per memo
-        (``{"masks": ..., "bounds": ..., "batches": ...,
-        "blocking": ...}``).
-        """
-        if not 0 <= job < self._n:
-            raise ValueError(f"job {job} out of range for {self._n} jobs")
-        dropped = {"masks": 0, "bounds": 0, "batches": 0, "blocking": 0}
-        for key in [k for k in self._mask_memo
-                    if k[0] == job
-                    or self._key_mask_contains(k[1], job)]:
-            del self._mask_memo[key]
-            dropped["masks"] += 1
-        for key in [k for k in self._bound_memo
-                    if k[0] == job
-                    or self._key_mask_contains(k[2], job)
-                    or (k[3] is not None
-                        and self._key_mask_contains(k[3], job))
-                    or self._key_mask_contains(k[4], job)]:
-            del self._bound_memo[key]
-            dropped["bounds"] += 1
-        for key in [k for k in self._batch_memo
-                    if self._key_mask_contains(k[2], job)]:
-            del self._batch_memo[key]
-            dropped["batches"] += 1
-        for key in [k for k in self._blocking_memo
-                    if self._key_mask_contains(k[1], job)]:
-            del self._blocking_memo[key]
-            dropped["blocking"] += 1
-        return dropped
-
     def memo_sizes(self) -> dict[str, int]:
         """Current entry counts of the internal memos (the contribution
         matrices are pure functions of the job set and never dropped)."""
         return {"masks": len(self._mask_memo),
-                "bounds": len(self._bound_memo),
                 "batches": len(self._batch_memo),
                 "blocking": len(self._blocking_memo)}
 
@@ -649,11 +588,6 @@ class DelayAnalyzer:
 
         ``lower`` is required by the lower-priority-aware bounds
         (``eq2``, ``eq4``, ``eq10``) and ignored by the others.
-
-        Evaluations are memoised keyed on ``(i, equation, higher,
-        lower, active)``; repeated queries with an identical priority
-        context (the common case inside the OPA and admission loops)
-        are answered from cache.
         """
         if equation not in ALL_EQUATIONS:
             raise ValueError(f"unknown equation {equation!r}; "
@@ -664,32 +598,19 @@ class DelayAnalyzer:
         active = self._normalize_active(active)
         h_mask = self.as_mask(higher)
         l_mask = self.as_mask(lower) if lower_aware else None
-        key = (i, equation, h_mask.tobytes(),
-               l_mask.tobytes() if lower_aware else None,
-               self._active_key(active))
-        try:
-            value = self._bound_memo[key]
-            self._cache_hits["bounds"] += 1
-            return value
-        except KeyError:
-            self._cache_misses["bounds"] += 1
         if equation == "eq2":
-            value = self.eq2(i, h_mask, l_mask, active=active)
-        elif equation == "eq4":
-            value = self.eq4(i, h_mask, l_mask, active=active)
-        elif equation == "eq10":
-            value = self.eq10(i, h_mask, l_mask, active=active)
-        elif equation == "eq1":
-            value = self.eq1(i, h_mask, active=active)
-        elif equation == "eq3":
-            value = self.eq3(i, h_mask, active=active)
-        elif equation == "eq5":
-            value = self.eq5(i, h_mask, active=active)
-        else:
-            value = self.eq6(i, h_mask, active=active)
-        _evict_to_limit(self._bound_memo, _BOUND_MEMO_LIMIT)
-        self._bound_memo[key] = value
-        return value
+            return self.eq2(i, h_mask, l_mask, active=active)
+        if equation == "eq4":
+            return self.eq4(i, h_mask, l_mask, active=active)
+        if equation == "eq10":
+            return self.eq10(i, h_mask, l_mask, active=active)
+        if equation == "eq1":
+            return self.eq1(i, h_mask, active=active)
+        if equation == "eq3":
+            return self.eq3(i, h_mask, active=active)
+        if equation == "eq5":
+            return self.eq5(i, h_mask, active=active)
+        return self.eq6(i, h_mask, active=active)
 
     # ------------------------------------------------------------------
     # Batch evaluation (used by OPA/OPDCA, DMR, OPT verification and

@@ -48,7 +48,6 @@ from repro.online.engine import (
 from repro.online.incremental import (
     IncrementalAnalyzer,
     SubsetAnalysis,
-    admit,
     admit_all_or_nothing,
     cold_analysis,
     incremental_admission,
@@ -96,7 +95,6 @@ __all__ = [
     "ShardedAdmissionEngine",
     "StreamConfig",
     "SubsetAnalysis",
-    "admit",
     "admit_all_or_nothing",
     "admitted_utilisation",
     "clustered_stream",

@@ -235,7 +235,7 @@ class AdmissionCell:
                                 kernel=kernel)
             if mode == "incremental" and universe is not None
             else None)
-        #: (all_or_nothing, candidate tuple) -> outcome (pure-function
+        #: all-or-nothing candidate tuple -> outcome (pure-function
         #: memo; incremental mode only -- cold is stateless by
         #: definition).
         self._decision_memo: "dict[tuple, AdmissionResult | None] | None" = (
@@ -310,16 +310,19 @@ class AdmissionCell:
         ``all_or_nothing`` (the retry / reservation rule) asks only
         whether the whole candidate set fits, returning ``None`` when
         the full controller would reject anyone.  It runs
-        :func:`~repro.online.incremental.trajectory_outcome`
-        (``admit_trajectory`` plus its failure core), so a fit's
-        ordering is the full controller's lowest-index trajectory.
+        :func:`~repro.online.incremental.trajectory_outcome`, so a
+        fit's ordering is the full controller's lowest-index
+        trajectory.
 
         Admission is a pure function of the candidate set over the
-        fixed universe, so the incremental cell memoises outcomes
-        keyed on the exact candidate tuple: retry attempts between
-        unchanged admitted sets (the common congested pattern) are
-        answered without any re-analysis at all.  Cold mode is by
-        definition stateless across events and always recomputes.
+        fixed universe, so the incremental cell memoises all-or-nothing
+        outcomes keyed on the exact candidate tuple: retry attempts
+        between unchanged admitted sets (the common congested pattern)
+        are answered without any re-analysis at all.  Full-controller
+        outcomes are not memoised: an arrival's candidate holds a uid
+        decided for the first time, so no later lookup could match.
+        Cold mode is by definition stateless across events and always
+        recomputes.
 
         After the memo, an all-or-nothing question whose candidate
         contains a parked member's failure core is answered ``None``
@@ -330,11 +333,11 @@ class AdmissionCell:
         start = time.perf_counter()
         self._proved = {}
         try:
-            key = (all_or_nothing, tuple(candidate))
-            if self._decision_memo is not None and \
-                    key in self._decision_memo:
+            key = tuple(candidate)
+            memo = self._decision_memo if all_or_nothing else None
+            if memo is not None and key in memo:
                 self.memo_hits += 1
-                return self._decision_memo[key]
+                return memo[key]
             if all_or_nothing and self._cores and \
                     self._core_covered(candidate):
                 self.core_hits += 1
@@ -358,7 +361,7 @@ class AdmissionCell:
             self.kernel_cache["misses"] += misses
             self._obs["cache_hits"].inc(hits)
             self._obs["cache_misses"].inc(misses)
-            if self._decision_memo is not None:
+            if memo is not None:
                 if result is not None and self._inc is not None:
                     # Park a thin rebuilder instead of the
                     # controller's own thunk, which pins the whole
@@ -367,15 +370,13 @@ class AdmissionCell:
                     # It must not capture ``result``: that cycle would
                     # leave the result and ``inc`` to the cyclic GC.
                     inc = self._inc
-                    cand = tuple(candidate)
                     accepted, ordering = result.accepted, result.ordering
                     result.rebind_delays(
-                        lambda: result_delays(inc.subset(list(cand)),
+                        lambda: result_delays(inc.subset(list(key)),
                                               accepted, ordering))
-                if len(self._decision_memo) >= DECISION_MEMO_LIMIT:
-                    self._decision_memo.pop(
-                        next(iter(self._decision_memo)))
-                self._decision_memo[key] = result
+                if len(memo) >= DECISION_MEMO_LIMIT:
+                    memo.pop(next(iter(memo)))
+                memo[key] = result
             return result
         finally:
             elapsed = time.perf_counter() - start
@@ -416,11 +417,6 @@ class AdmissionCell:
         evicted = sorted(self._admitted - accepted)
         flips = sum(1 for uid, rank in new_ranks.items()
                     if uid in self._ranks and self._ranks[uid] != rank)
-        if self._inc is not None:
-            for uid in evicted:
-                self._inc.depart(uid)
-            for uid in accepted - self._admitted:
-                self._inc.arrive(uid)
         self._admitted = accepted
         self._ranks = new_ranks
         return evicted, flips
@@ -454,7 +450,7 @@ class AdmissionCell:
 
     def obs_stats(self) -> dict:
         """Telemetry snapshot for spans and engine summaries."""
-        stats = {
+        return {
             "decisions": self.decision_count,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
@@ -464,10 +460,6 @@ class AdmissionCell:
             "retry_depth": len(self._retry),
             "outcomes": dict(self.outcome_counts),
         }
-        if self._inc is not None:
-            sizes = self._inc.analyzer.memo_sizes()
-            stats["universe_memo_sizes"] = sizes
-        return stats
 
     # -- event methods ------------------------------------------------
 
@@ -508,8 +500,6 @@ class AdmissionCell:
         if uid in self._admitted:
             self._admitted.discard(uid)
             self._ranks.pop(uid, None)
-            if self._inc is not None:
-                self._inc.depart(uid)
             self._count("free")
             return CellEvent(decision="free", uid=uid,
                              seconds=time.perf_counter() - start)
@@ -604,8 +594,6 @@ class AdmissionCell:
             return False
         self._admitted.discard(uid)
         self._ranks.pop(uid, None)
-        if self._inc is not None:
-            self._inc.depart(uid)
         return True
 
     def unpark(self, uid: int) -> bool:

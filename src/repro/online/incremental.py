@@ -15,7 +15,10 @@ while guaranteeing **bitwise identical decisions and delay bounds**:
   (:meth:`~repro.core.system.JobSet.restrict` +
   :meth:`~repro.core.segments.SegmentCache.restrict`), so standing up
   the per-event analysis costs a handful of ``numpy`` gathers instead
-  of re-running the algebra.
+  of re-running the algebra.  A slice is not kept across events: the
+  candidate set changes with almost every event, so a kept slice is
+  almost never asked for again (see the cache table in
+  ``docs/kernels.md``).
 * :func:`incremental_admission` reproduces
   :func:`repro.core.admission.opdca_admission` decision for decision.
   The float-monotone bounds on window-filtered analyzers (every online
@@ -23,14 +26,11 @@ while guaranteeing **bitwise identical decisions and delay bounds**:
   one exact level-1 evaluation, then exact per-removal band updates,
   refreshing only the candidates whose band straddles the tolerance.
   Everything else runs ``opdca_admission``'s own lazy frontier driver.
-* departures call :meth:`~repro.core.dca.DelayAnalyzer.\
-invalidate_job` on the persistent universe analyzer, purging exactly
-  the memo entries whose context involves the leaving job.
 * :func:`admit_all_or_nothing` is the one deliberate exception: a
   yes/no question needs only *some* feasible assignment, so under the
   float-monotone bounds it searches for any witness
   (:func:`_witness_audsley`) -- same verdict as the cold path, but
-  possibly a different ordering.  :func:`admit_trajectory` keeps the
+  possibly a different ordering.  :func:`trajectory_outcome` keeps the
   cold path's lowest-index ordering.
 * a certified-band run that gets stuck hands back its *failure core*
   (:class:`Outcome`): the unassigned set ``U`` of the stuck level (for
@@ -71,11 +71,6 @@ from repro.core.schedulability import SDCA, Policy, resolve_equation
 from repro.core.segments import SegmentCache
 from repro.core.system import JobSet
 
-#: Cross-event subset-analysis memo entries per analyzer (LRU).  Sized
-#: for one engine's working set: the rolling admitted-set tuple plus
-#: the retry-pass variants orbiting it.
-_SUBSET_MEMO_LIMIT = 32
-
 
 @dataclass
 class SubsetAnalysis:
@@ -104,7 +99,7 @@ class Outcome(NamedTuple):
 
 
 class IncrementalAnalyzer:
-    """Delay-bound state for a live subset of a fixed job universe.
+    """Sliced per-event analyses of a fixed job universe.
 
     Parameters
     ----------
@@ -136,11 +131,7 @@ class IncrementalAnalyzer:
         self._cache = cache if cache is not None \
             else SegmentCache(universe)
         self._kernel = kernel
-        self._analyzer = DelayAnalyzer(universe, cache=self._cache,
-                                       kernel=kernel)
-        self._active = np.zeros(universe.num_jobs, dtype=bool)
-        #: tuple(indices) -> SubsetAnalysis (LRU; see :meth:`subset`).
-        self._subset_memo: dict[tuple, SubsetAnalysis] = {}
+        self._analyzer: "DelayAnalyzer | None" = None
 
     @property
     def universe(self) -> JobSet:
@@ -152,88 +143,35 @@ class IncrementalAnalyzer:
 
     @property
     def analyzer(self) -> DelayAnalyzer:
-        """The persistent universe analyzer (shared segment cache)."""
+        """The persistent universe analyzer (shared segment cache),
+        built on first use: cells decide on slices and never read it,
+        only the sharded whole-universe certificate does."""
+        if self._analyzer is None:
+            self._analyzer = DelayAnalyzer(self._universe,
+                                           cache=self._cache,
+                                           kernel=self._kernel)
         return self._analyzer
-
-    @property
-    def active(self) -> np.ndarray:
-        """Mask of currently present jobs (a copy)."""
-        return self._active.copy()
-
-    # -- presence tracking -------------------------------------------
-
-    def arrive(self, uid: int) -> None:
-        """Mark ``uid`` present.  Cached bounds for contexts excluding
-        it remain valid and keep serving (they are pure functions of
-        their interference masks)."""
-        self._active[uid] = True
-
-    def depart(self, uid: int) -> dict[str, int]:
-        """Mark ``uid`` absent and purge exactly the memoised entries
-        whose context involves it (see
-        :meth:`~repro.core.dca.DelayAnalyzer.invalidate_job`), plus
-        the cached subset analyses naming it -- a stream uid never
-        returns, so those slices are dead weight.
-        Returns the per-memo drop counts."""
-        self._active[uid] = False
-        for key in [k for k in self._subset_memo if uid in k]:
-            del self._subset_memo[key]
-        return self._analyzer.invalidate_job(uid)
-
-    def delay_of(self, uid: int, higher, lower=None) -> float:
-        """Memoised delay bound of ``uid`` against the given
-        higher/lower sets, restricted to the currently present jobs.
-
-        Bitwise identical to evaluating the same context on a cold
-        analyzer built from the surviving job set: the scalar bound
-        path gathers exactly the masked entries, so the reductions see
-        the same operands in the same order.
-        """
-        test = SDCA(self._universe, self._policy, analyzer=self._analyzer)
-        return test.delay(uid, higher, lower, active=self._active)
 
     # -- per-event subset analyses -----------------------------------
 
     def subset(self, indices) -> SubsetAnalysis:
-        """Sliced (warm) analysis of ``universe[indices]``.
-
-        Memoised per index tuple (LRU, bounded): a
-        :class:`SubsetAnalysis` is a pure function of the universe and
-        the index set, so revisited candidate sets -- repeated arrival
-        patterns, retry passes -- reuse the previously built slice
-        *with its analyzer memos warm* (contribution matrices, band
-        operands, eq5 blocking vectors, stage-major gathers) instead
-        of re-gathering every plane from scratch.
-        Only these memos outlive a decision: every admission run
-        seeds its bounds from an exact evaluation of its own.
-        Entries naming a departed job are purged by :meth:`depart`,
-        mirroring the universe analyzer's ``invalidate_job``
-        discipline.
-        """
+        """Sliced (warm) analysis of ``universe[indices]``: a handful
+        of gathers from the universe job set and segment cache, no
+        segment algebra."""
         idx = np.sort(np.asarray(indices, dtype=np.int64))
-        key = tuple(idx.tolist())
-        hit = self._subset_memo.get(key)
-        if hit is not None:
-            self._subset_memo.pop(key)
-            self._subset_memo[key] = hit  # refresh the LRU position
-            return hit
         jobset = self._universe.restrict(idx)
         cache = self._cache.restrict(jobset, idx)
         analyzer = DelayAnalyzer(jobset, cache=cache, kernel=self._kernel)
         test = SDCA(jobset, self._policy, analyzer=analyzer)
-        analysis = SubsetAnalysis(jobset=jobset, test=test, indices=idx)
-        while len(self._subset_memo) >= _SUBSET_MEMO_LIMIT:
-            self._subset_memo.pop(next(iter(self._subset_memo)))
-        self._subset_memo[key] = analysis
-        return analysis
+        return SubsetAnalysis(jobset=jobset, test=test, indices=idx)
 
 
 def cold_analysis(universe: JobSet, indices,
                   policy: "str | Policy") -> SubsetAnalysis:
     """Cold analysis of ``universe[indices]``: re-run the job-set
     constructor and the segment algebra from scratch (what a batch
-    caller would do for every event).  Cold :func:`admit` then runs
-    the frontier driver in stock mode, evaluating every level in full.
+    caller would do for every event).  Cold :func:`admit_outcome` then
+    runs the frontier driver in stock mode, evaluating every level in full.
 
     The analyzer is pinned to the *reference* tensor kernel so that
     "cold" stays a stable legacy yardstick for the benchmarks -- the
@@ -777,8 +715,16 @@ def _witness_audsley(jobset: JobSet, test: SDCA) -> Outcome:
 
 def admit_outcome(analysis: SubsetAnalysis, *,
                   mode: str = "incremental") -> Outcome:
-    """:func:`admit` with the failure cores of its discard levels
-    (:class:`Outcome`; cold mode records none)."""
+    """Run the full admission controller (evictions allowed) over one
+    subset analysis, with the failure cores of its discard levels
+    (:class:`Outcome`; cold mode records none).
+
+    ``mode="incremental"`` uses the lazy level evaluation above;
+    ``mode="cold"`` runs the frontier driver in stock mode
+    (:class:`~repro.core.admission._StockExcessLevels`: every level
+    evaluated in full), the yardstick the online benchmark measures
+    the incremental path against.
+    """
     if mode == "incremental":
         return _lazy_audsley(analysis.jobset, analysis.test, discard=True)
     if mode == "cold":
@@ -790,8 +736,21 @@ def admit_outcome(analysis: SubsetAnalysis, *,
 
 def trajectory_outcome(analysis: SubsetAnalysis, *,
                        mode: str = "incremental") -> Outcome:
-    """:func:`admit_trajectory` with the failure core of a failed run
-    (:class:`Outcome`; cold mode records none)."""
+    """All-or-nothing admission along the lowest-index Audsley
+    trajectory, with the failure core of a failed run
+    (:class:`Outcome`; cold mode records none).
+
+    ``result`` is the (everyone-accepted) controller result when the
+    whole candidate set is OPDCA-schedulable and ``None`` otherwise --
+    ``None`` exactly when :func:`admit_outcome` would reject at least
+    one job, and on success bitwise identical to it.  The retry queue
+    uses this instead of the full controller because a failed retry
+    stops at its first infeasible level instead of paying the discard
+    cascade.  ``mode="cold"`` runs the lazy frontier-carrying driver
+    over the cold analysis
+    (:func:`repro.core.admission._frontier_admission`), with the same
+    ``Delta_i - D_i <= 1e-9`` pass rule as cold :func:`admit_outcome`.
+    """
     if mode == "incremental":
         return _lazy_audsley(analysis.jobset, analysis.test,
                              discard=False)
@@ -811,49 +770,19 @@ def witness_outcome(analysis: SubsetAnalysis, *,
     return trajectory_outcome(analysis, mode=mode)
 
 
-def admit(analysis: SubsetAnalysis, *,
-          mode: str = "incremental") -> AdmissionResult:
-    """Run the admission controller over one subset analysis.
-
-    ``mode="incremental"`` uses the lazy level evaluation above;
-    ``mode="cold"`` runs the frontier driver in stock mode
-    (:class:`~repro.core.admission._StockExcessLevels`: every level
-    evaluated in full), the yardstick the online benchmark measures
-    the incremental path against.
-    """
-    return admit_outcome(analysis, mode=mode).result
-
-
 def admit_all_or_nothing(analysis: SubsetAnalysis, *,
                          mode: str = "incremental"
                          ) -> "AdmissionResult | None":
     """All-or-nothing admission over one subset analysis: *a* feasible
     priority assignment of the whole candidate set, or ``None``.
 
-    ``None`` exactly when :func:`admit` would reject at least one job.
+    ``None`` exactly when :func:`admit_outcome` would reject at least
+    one job.
     Under the certified-band gate in incremental mode (float-monotone
     bound, window-filtered analyzer) this is the witness search
     :func:`_witness_audsley`, whose ordering may differ from the
     lowest-index Audsley trajectory -- the verdict never does.
-    Everywhere else it is :func:`admit_trajectory`.  Cells, whose
-    orderings are pinned, use :func:`admit_trajectory`.
+    Everywhere else it is :func:`trajectory_outcome`.  Cells, whose
+    orderings are pinned, use :func:`trajectory_outcome`.
     """
     return witness_outcome(analysis, mode=mode).result
-
-
-def admit_trajectory(analysis: SubsetAnalysis, *,
-                     mode: str = "incremental"
-                     ) -> "AdmissionResult | None":
-    """All-or-nothing admission along the lowest-index Audsley
-    trajectory: the (everyone-accepted) result when the whole
-    candidate set is OPDCA-schedulable and ``None`` otherwise -- i.e.
-    ``None`` exactly when :func:`admit` would reject at least one
-    job, and on success bitwise identical to it.  The retry queue
-    uses this instead of the full controller because a failed retry
-    stops at its first infeasible level instead of paying the discard
-    cascade.  ``mode="cold"`` runs the lazy frontier-carrying driver
-    over the cold analysis
-    (:func:`repro.core.admission._frontier_admission`), with the same
-    ``Delta_i - D_i <= 1e-9`` pass rule as cold :func:`admit`.
-    """
-    return trajectory_outcome(analysis, mode=mode).result

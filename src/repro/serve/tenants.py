@@ -35,7 +35,6 @@ from repro.online.engine import OnlineScenarioSpec
 from repro.online.metrics import (
     EventRecord,
     OnlineRunResult,
-    latency_percentiles,
 )
 from repro.online.sharded import ShardedAdmissionEngine
 from repro.online.streams import (
@@ -148,6 +147,12 @@ def scenario_from_dict(payload: dict) -> OnlineScenarioSpec:
     unknown = sorted(set(data) - (known_spec - {"stream"}))
     if unknown:
         raise ServeError(f"unknown scenario field(s) {unknown}")
+    # Integer knobs take a JSON integer and nothing else: a float or a
+    # bool would slip through the engine's range checks.
+    for knob in ("seed", "shards", "retry_limit", "validate_every"):
+        value = data.get(knob, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ServeError(f"{knob} must be an integer, got {value!r}")
     try:
         stream = StreamConfig(workload=workload, **stream_data)
         return OnlineScenarioSpec(stream=stream, **data)
@@ -275,22 +280,20 @@ class Tenant:
         """Live tenant summary for ``/metrics`` and tenant queries."""
         result = self.engine.result()
         summary = result.summary
-        decision = latency_percentiles(
-            (r.latency for r in result.records), prefix="decision_")
-        payload = {
+        return {
             "tenant": self.name,
             "events": self.sequence,
             "jobs": self.num_jobs,
-            "shards": int(getattr(self.spec, "shards", 1)),
+            "shards": int(self.spec.shards),
             "admitted": result.final_admitted,
             "acceptance_ratio": summary["acceptance_ratio"],
             "evictions": summary["evictions"],
             "retry_accepts": summary["retry_accepts"],
             "retry_drops": summary["retry_drops"],
             "validation_failures": len(result.validation_failures),
-            **decision,
+            "decision_p50_ms": summary["latency_p50_ms"],
+            "decision_p99_ms": summary["latency_p99_ms"],
         }
-        return payload
 
 
 class TenantManager:

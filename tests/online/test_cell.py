@@ -6,7 +6,8 @@ import weakref
 
 import pytest
 
-from repro.online.cell import DECISION_MEMO_LIMIT, AdmissionCell
+from repro.online import cell as cell_module
+from repro.online.cell import AdmissionCell
 from repro.online.sharded import ShardedAdmissionEngine
 from repro.online.streams import (
     StreamConfig,
@@ -73,21 +74,26 @@ class TestCellMechanics:
                 assert admitted_before <= set(cell.admitted)
                 admitted_before = set(cell.admitted)
 
-    def test_decision_memo_caps_at_limit(self):
+    def test_decision_memo_caps_at_limit(self, monkeypatch):
+        monkeypatch.setattr(cell_module, "DECISION_MEMO_LIMIT", 4)
         universe, dep = _universe()
         cell = AdmissionCell(universe, departure_of=dep)
-        for uid in range(min(universe.num_jobs, 30)):
-            cell.arrival(uid)
-        assert len(cell._decision_memo) <= DECISION_MEMO_LIMIT
+        candidates = [(uid,) for uid in range(6)]
+        for candidate in candidates:
+            cell.decide(list(candidate), all_or_nothing=True)
+        # FIFO: the two oldest candidates made room for the newest.
+        assert list(cell._decision_memo) == candidates[2:]
 
     def test_memo_answers_repeat_decisions_without_analysis(self):
         universe, dep = _universe()
         cell = AdmissionCell(universe, departure_of=dep)
         cell.arrival(0)
-        count = cell.decision_count
-        # same candidate set again: memo hit, but still counted
-        cell.decide([0])
+        cell.decide([0, 1], all_or_nothing=True)
+        count, misses = cell.decision_count, cell.memo_misses
+        # same all-or-nothing candidate again: memo hit, still counted
+        cell.decide([0, 1], all_or_nothing=True)
         assert cell.decision_count == count + 1
+        assert cell.memo_hits == 1 and cell.memo_misses == misses
 
     def test_validation(self):
         universe, dep = _universe()

@@ -21,7 +21,6 @@ from repro.online.cell import AdmissionCell
 from repro.online.incremental import (
     IncrementalAnalyzer,
     admit_outcome,
-    admit_trajectory,
     cold_analysis,
     trajectory_outcome,
     witness_outcome,
@@ -142,7 +141,7 @@ class TestSkipIsInvisible:
 
 def _cold_infeasible(universe, members, policy):
     analysis = cold_analysis(universe, sorted(members), policy)
-    return admit_trajectory(analysis, mode="cold") is None
+    return trajectory_outcome(analysis, mode="cold").result is None
 
 
 def _assert_core_infeasible(universe, core, policy, rng):

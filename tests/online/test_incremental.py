@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.online.incremental` is *exact* equivalence
 with cold re-analysis: sliced job sets and segment caches, row-sliced
-batch bounds, delta-maintained scalar bounds and the lazily evaluated
+batch bounds, active-masked scalar bounds and the lazily evaluated
 admission controller must all reproduce the cold path bit for bit.
 """
 
@@ -177,9 +177,11 @@ sequence_params = st.fixed_dictionaries({
 
 
 class TestDeltaConsistency:
-    """Satellite: after any random arrival/departure sequence, the
-    delta-updated universe analyzer answers bitwise identically to a
-    cold analyzer built from the surviving job set."""
+    """After any random arrival/departure sequence, the persistent
+    universe analyzer, restricted to the present jobs by an explicit
+    ``active`` mask (the whole-universe scalar path of the sharded
+    quick certificate), answers bitwise identically to a cold analyzer
+    built from the surviving job set."""
 
     @settings(max_examples=40, deadline=None)
     @given(params=sequence_params)
@@ -187,19 +189,20 @@ class TestDeltaConsistency:
         universe = _universe(params["seed"],
                              num_jobs=params["num_jobs"])
         inc = IncrementalAnalyzer(universe, "preemptive")
+        test = SDCA(universe, "preemptive", analyzer=inc.analyzer)
         n = universe.num_jobs
         present: list[int] = []
         rng = np.random.default_rng(params["seed"] + 1)
         for op in params["ops"]:
             absent = [i for i in range(n) if i not in present]
             if present and (op % 2 == 0 or not absent):
-                inc.depart(present.pop(op % len(present)))
+                present.pop(op % len(present))
             elif absent:
-                job = absent[op % len(absent)]
-                present.append(job)
-                inc.arrive(job)
+                present.append(absent[op % len(absent)])
             if not present:
                 continue
+            active = np.zeros(n, dtype=bool)
+            active[present] = True
             # Random priority context over the survivors.
             ranks = rng.permutation(len(present))
             cold_set = JobSet(universe.system,
@@ -210,39 +213,17 @@ class TestDeltaConsistency:
                 higher_local = [j for j, other in enumerate(order)
                                 if ranks[j] < ranks[position]]
                 higher_uids = [order[j] for j in higher_local]
-                live = inc.delay_of(
+                live = test.delay(
                     uid,
                     inc.analyzer.as_mask(higher_uids
-                                         if higher_uids else None))
+                                         if higher_uids else None),
+                    active=active)
                 rebuilt = cold.delay_bound(
                     position,
                     cold.as_mask(higher_local
                                  if higher_local else None),
                     equation="eq6")
                 assert live == rebuilt  # bitwise, not approx
-
-    def test_invalidate_job_purges_only_involved_entries(self):
-        universe = _universe(7, num_jobs=8)
-        analyzer = DelayAnalyzer(universe)
-        active_without_3 = np.ones(8, dtype=bool)
-        active_without_3[3] = False
-        # Context involving job 3 and one excluding it entirely.
-        with_3 = analyzer.delay_bound(0, [1, 3], equation="eq6")
-        without_3 = analyzer.delay_bound(
-            0, [1, 2], equation="eq6", active=active_without_3)
-        sizes = analyzer.memo_sizes()
-        assert sizes["bounds"] == 2
-        dropped = analyzer.invalidate_job(3)
-        assert dropped["bounds"] == 1
-        assert analyzer.memo_sizes()["bounds"] == 1
-        # Surviving entry still answers; recomputation matches.
-        assert analyzer.delay_bound(
-            0, [1, 2], equation="eq6",
-            active=active_without_3) == without_3
-        assert analyzer.delay_bound(0, [1, 3],
-                                    equation="eq6") == with_3
-        with pytest.raises(ValueError):
-            analyzer.invalidate_job(99)
 
 
 admission_params = st.fixed_dictionaries({
@@ -365,9 +346,9 @@ class TestIncrementalAdmission:
         from repro.core.job import Job
         from repro.core.system import MSMRSystem
         from repro.online.incremental import (
-            admit,
             admit_all_or_nothing,
-            admit_trajectory,
+            admit_outcome,
+            trajectory_outcome,
         )
 
         jobset = JobSet(MSMRSystem.uniform(1, 1), [
@@ -375,10 +356,10 @@ class TestIncrementalAdmission:
                 resources=(0,))])
         cold = cold_analysis(jobset, [0], "eq6")
         warm = IncrementalAnalyzer(jobset, "eq6").subset([0])
-        assert admit(cold, mode="cold").rejected == [0]
-        assert admit(warm).rejected == [0]
+        assert admit_outcome(cold, mode="cold").result.rejected == [0]
+        assert admit_outcome(warm).result.rejected == [0]
         for analysis, mode in ((cold, "cold"), (warm, "incremental")):
-            assert admit_trajectory(analysis, mode=mode) is None
+            assert trajectory_outcome(analysis, mode=mode).result is None
             assert admit_all_or_nothing(analysis, mode=mode) is None
 
 

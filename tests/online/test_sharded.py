@@ -297,6 +297,37 @@ class TestEngineSurface:
             cell.decision_count for cell in engine.cells)
         assert engine.decision_seconds > 0.0
 
+    @pytest.mark.parametrize("shards, floor", ((1, 0), (4, 161)))
+    def test_decision_memo_holds_only_all_or_nothing_outcomes(
+            self, monkeypatch, shards, floor):
+        """Only all-or-nothing outcomes are memoised (an arrival's
+        candidate is never asked for twice), and the memo still answers
+        as many decisions on a congested stream as when full-controller
+        outcomes were memoised too (``floor``)."""
+        from repro.online.cell import AdmissionCell
+
+        asked: set = set()
+        decide = AdmissionCell.decide
+
+        def recording(cell, candidate, all_or_nothing=False):
+            if all_or_nothing:
+                asked.add(tuple(candidate))
+            return decide(cell, candidate, all_or_nothing)
+
+        monkeypatch.setattr(AdmissionCell, "decide", recording)
+        stream = _clustered(seed=0, clusters=4, cross_fraction=0.05,
+                            horizon=60.0, rate=1.2, dwell_scale=3.0)
+        engine = ShardedAdmissionEngine(stream, shards=shards)
+        engine.run()
+        totals = {key: sum(cell.obs_stats()[key] for cell in engine.cells)
+                  for key in ("decisions", "memo_hits", "memo_misses",
+                              "core_hits")}
+        for cell in engine.cells:
+            assert set(cell._decision_memo) <= asked
+        assert totals["memo_hits"] + totals["memo_misses"] + \
+            totals["core_hits"] == totals["decisions"]
+        assert totals["memo_hits"] >= floor
+
 
 class TestClusteredStream:
     def test_clusters_get_disjoint_resource_blocks(self):

@@ -211,28 +211,6 @@ class TestKernelEquivalence:
                                        equation="eq10", rows=rows)
         assert np.array_equal(full[rows], sliced)
 
-    def test_invalidate_job_preserves_values(self):
-        """The online departure path: purging memo entries that
-        involve a job must not change any re-queried value."""
-        jobset = generate_edge_case(
-            EdgeWorkloadConfig(num_jobs=12, num_aps=4, num_servers=3),
-            seed=2).jobset
-        n = jobset.num_jobs
-        analyzer = DelayAnalyzer(jobset)
-        rng = np.random.default_rng(5)
-        unassigned = rng.random(n) < 0.7
-        unassigned[1] = True
-        lower = ~unassigned & (rng.random(n) < 0.5)
-        # eq5's level-independent blocking vector is memoised per
-        # active mask, so the purge has something to drop.
-        before = analyzer.level_bounds(unassigned, lower,
-                                       equation="eq5")
-        dropped = analyzer.invalidate_job(1)
-        assert sum(dropped.values()) > 0
-        after = analyzer.level_bounds(unassigned, lower,
-                                      equation="eq5")
-        assert np.array_equal(before, after)
-
     def test_window_filter_off_falls_back_to_reference(self):
         jobset = generate_edge_case(
             EdgeWorkloadConfig(num_jobs=8, num_aps=3, num_servers=3),

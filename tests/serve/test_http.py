@@ -153,10 +153,15 @@ class TestSmoke:
         ("mode", "warm"), ("retry_limit", -1), ("shards", 0),
         ("kernel", "bogus"), ("kernel", "compiled"), ("seed", "x"),
         ("validate_every", -1),
+        ("shards", 1.5), ("shards", True), ("retry_limit", True),
+        ("retry_limit", 2.5), ("retry_limit", "x"),
+        ("validate_every", True), ("validate_every", 1.5),
+        ("seed", True),
     ])
     def test_bad_scenario_knob_gets_400(self, knob, value):
-        """A knob the stream generator or the engine refuses is a
-        client error, and it registers no tenant."""
+        """A knob the stream generator or the engine refuses, or an
+        integer knob given any other JSON value, is a client error
+        that names the knob, and it registers no tenant."""
         async def scenario(service, client):
             names = service.tenants.names()
             status, body = await client.request(
@@ -164,6 +169,7 @@ class TestSmoke:
                 {"name": "t",
                  "scenario": {**scenario_to_dict(SPEC), knob: value}})
             assert status == 400, body
+            assert knob in body["error"]
             assert service.tenants.names() == names
             await create_tenant(client)
 
