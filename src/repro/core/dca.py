@@ -53,8 +53,10 @@ OPA, DMR repair and the experiment sweeps out of Python:
   iteration -- are answered from cache instead of being rebuilt from
   scratch.  Caches are bounded (FIFO eviction) and private to the
   analyzer, which is itself bound to one immutable job set.  Scalar
-  :meth:`delay_bound` values are not memoised: no caller repeats a
-  context (see the cache table in ``docs/kernels.md``).
+  :meth:`delay_bound` values are not memoised here: the online callers
+  never repeat a context, and the one caller that does, local
+  search's steepest descent, keeps its candidates' trial bounds itself
+  (see the cache table in ``docs/kernels.md``).
 
 Pairwise-contribution kernel cache
 ----------------------------------

@@ -115,10 +115,10 @@ class IncrementalAnalyzer:
         per-shard view of one global cache here, so standing up N
         shard analyzers never re-runs the segment algebra.
     kernel:
-        Level-evaluation kernel of the persistent analyzer and of
-        every per-event subset analyzer (``"paired"`` default /
-        ``"reference"``); decisions are bitwise identical either way
-        (property-tested), only the amount of work per level differs.
+        Level-evaluation kernel of every per-event subset analyzer
+        (``"paired"`` default / ``"reference"``); decisions are bitwise
+        identical either way (property-tested), only the amount of
+        work per level differs.
     """
 
     def __init__(self, universe: JobSet,
@@ -131,7 +131,6 @@ class IncrementalAnalyzer:
         self._cache = cache if cache is not None \
             else SegmentCache(universe)
         self._kernel = kernel
-        self._analyzer: "DelayAnalyzer | None" = None
 
     @property
     def universe(self) -> JobSet:
@@ -140,17 +139,6 @@ class IncrementalAnalyzer:
     @property
     def equation(self) -> str:
         return self._equation
-
-    @property
-    def analyzer(self) -> DelayAnalyzer:
-        """The persistent universe analyzer (shared segment cache),
-        built on first use: cells decide on slices and never read it,
-        only the sharded whole-universe certificate does."""
-        if self._analyzer is None:
-            self._analyzer = DelayAnalyzer(self._universe,
-                                           cache=self._cache,
-                                           kernel=self._kernel)
-        return self._analyzer
 
     # -- per-event subset analyses -----------------------------------
 

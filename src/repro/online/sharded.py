@@ -127,6 +127,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.admission import AdmissionResult, ordering_of_accepted
+from repro.core.dca import DelayAnalyzer
 from repro.core.partition import Routing, ShardMap
 from repro.core.schedulability import (
     FLOAT_MONOTONE_EQUATIONS,
@@ -351,6 +352,7 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
         #: Whole-universe certificate state (lazy: shard-local traffic
         #: never builds or touches it).
         self._global_inc: "IncrementalAnalyzer | None" = None
+        self._global_test: "SDCA | None" = None
         #: Standing certified priority ordering (highest first) of the
         #: whole admitted set: the constructive witness behind the
         #: one-bound fast path (:meth:`_quick_certify`).  Maintained
@@ -610,10 +612,14 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
             self._order = None
 
     def _universe_test(self) -> SDCA:
-        """Whole-universe single-bound test over the persistent
+        """Whole-universe single-bound test over one persistent
         analyzer (explicit higher/active masks; no hidden state)."""
-        return SDCA(self._universe, self._policy,
-                    analyzer=self._global_analyzer().analyzer)
+        if self._global_test is None:
+            self._global_test = SDCA(
+                self._universe, self._policy,
+                analyzer=DelayAnalyzer(self._universe, cache=self._cache,
+                                       kernel=self._kernel))
+        return self._global_test
 
     def _quick_certify(self, uid: int) -> bool:
         """Constructive one-bound extension of the standing

@@ -94,7 +94,13 @@ class _FlipSearch:
 
     Maintains, per job, the committed bound terms exactly like the CP
     solver so that the objective change of a candidate flip is
-    evaluated from scratch only for the two incident jobs.
+    evaluated from scratch only for the two incident jobs.  Job ``i``'s
+    bound reads only column and row ``i`` of ``x``, and a flip of
+    ``(a, b)`` changes only columns and rows ``a`` and ``b``, so the
+    trial bound of ``i`` under a candidate flip stays exact until a
+    committed flip involves ``i``: each pass after the first
+    re-evaluates only the trial bounds of the last committed flip's
+    two jobs.
     """
 
     def __init__(self, jobset: JobSet, analyzer: DelayAnalyzer,
@@ -118,6 +124,8 @@ class _FlipSearch:
     def descend(self, x: np.ndarray, delays: np.ndarray,
                 max_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
         steps = 0
+        #: (i, k) -> bound of job i with the pair (i, k) flipped.
+        trial: dict[tuple[int, int], float] = {}
         while steps < max_steps:
             best_gain = 1e-12
             best = None
@@ -125,10 +133,15 @@ class _FlipSearch:
             for i, k in self.pairs:
                 if current[i] <= 0.0 and current[k] <= 0.0:
                     continue
-                x[i, k], x[k, i] = x[k, i], x[i, k]
-                new_i = self.delay_of(x, i)
-                new_k = self.delay_of(x, k)
-                x[i, k], x[k, i] = x[k, i], x[i, k]
+                new_i = trial.get((i, k))
+                new_k = trial.get((k, i))
+                if new_i is None or new_k is None:
+                    x[i, k], x[k, i] = x[k, i], x[i, k]
+                    if new_i is None:
+                        new_i = trial[i, k] = self.delay_of(x, i)
+                    if new_k is None:
+                        new_k = trial[k, i] = self.delay_of(x, k)
+                    x[i, k], x[k, i] = x[k, i], x[i, k]
                 gain = (current[i] + current[k]
                         - max(0.0, new_i - self.jobset.D[i])
                         - max(0.0, new_k - self.jobset.D[k]))
@@ -141,6 +154,8 @@ class _FlipSearch:
             x[i, k], x[k, i] = x[k, i], x[i, k]
             delays[i] = new_i
             delays[k] = new_k
+            trial = {key: value for key, value in trial.items()
+                     if key[0] != i and key[0] != k}
             steps += 1
         return x, delays, steps
 

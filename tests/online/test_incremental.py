@@ -188,8 +188,8 @@ class TestDeltaConsistency:
     def test_scalar_bounds_match_cold_rebuild_bitwise(self, params):
         universe = _universe(params["seed"],
                              num_jobs=params["num_jobs"])
-        inc = IncrementalAnalyzer(universe, "preemptive")
-        test = SDCA(universe, "preemptive", analyzer=inc.analyzer)
+        analyzer = DelayAnalyzer(universe)
+        test = SDCA(universe, "preemptive", analyzer=analyzer)
         n = universe.num_jobs
         present: list[int] = []
         rng = np.random.default_rng(params["seed"] + 1)
@@ -215,7 +215,7 @@ class TestDeltaConsistency:
                 higher_uids = [order[j] for j in higher_local]
                 live = test.delay(
                     uid,
-                    inc.analyzer.as_mask(higher_uids
+                    analyzer.as_mask(higher_uids
                                          if higher_uids else None),
                     active=active)
                 rebuilt = cold.delay_bound(

@@ -119,3 +119,52 @@ class TestLocalSearch:
         jobset = moderate_instance(0)
         result = local_search(jobset, "eq6", max_steps=0, restarts=1)
         assert result.stats["steps"] == 0
+
+    @pytest.mark.parametrize("equation", ["eq6", "eq10"])
+    def test_trial_memo_matches_plain_descent_bitwise(self, equation):
+        """The descent reuses a candidate's trial bounds until a
+        committed flip involves its jobs; re-evaluating every candidate
+        on every pass must give the same trajectory, bit for bit."""
+        from repro.pairwise.dm import dm_assignment
+        from repro.pairwise.heuristics import _FlipSearch
+
+        stepped = 0
+        for seed in range(6):
+            jobset = random_jobset(
+                RandomInstanceConfig(num_jobs=10, num_stages=3,
+                                     resources_per_stage=2,
+                                     slack_range=(0.6, 1.4)), seed=seed)
+            analyzer = DelayAnalyzer(jobset)
+            search = _FlipSearch(jobset, analyzer, equation)
+            start = dm_assignment(jobset).matrix()
+            delays = analyzer.delays_for_pairwise(start, equation=equation)
+            x, got, steps = search.descend(start.copy(), delays.copy(), 80)
+
+            ref_x, ref = start.copy(), delays.copy()
+            ref_steps = 0
+            while ref_steps < 80:
+                current = np.maximum(0.0, ref - jobset.D)
+                best_gain, best = 1e-12, None
+                for i, k in search.pairs:
+                    if current[i] <= 0.0 and current[k] <= 0.0:
+                        continue
+                    ref_x[i, k], ref_x[k, i] = ref_x[k, i], ref_x[i, k]
+                    new_i = search.delay_of(ref_x, i)
+                    new_k = search.delay_of(ref_x, k)
+                    ref_x[i, k], ref_x[k, i] = ref_x[k, i], ref_x[i, k]
+                    gain = (current[i] + current[k]
+                            - max(0.0, new_i - jobset.D[i])
+                            - max(0.0, new_k - jobset.D[k]))
+                    if gain > best_gain:
+                        best_gain, best = gain, (i, k, new_i, new_k)
+                if best is None:
+                    break
+                i, k, ref[i], ref[k] = best
+                ref_x[i, k], ref_x[k, i] = ref_x[k, i], ref_x[i, k]
+                ref_steps += 1
+
+            assert steps == ref_steps
+            assert np.array_equal(x, ref_x)
+            assert got.tobytes() == ref.tobytes()
+            stepped += steps >= 2
+        assert stepped >= 2
