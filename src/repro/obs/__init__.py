@@ -2,9 +2,10 @@
 
 Zero-dependency metrics registry (``Counter``/``Gauge``/
 ``Histogram`` with Prometheus exposition), contextvar-propagated
-span tracing with JSONL export, and the ``repro obs report``
-renderer.  See ``docs/observability.md`` for the metric glossary
-and trace-file format.
+span tracing with JSONL export and a bounded in-memory span store,
+and the ``repro obs report`` renderer.  See
+``docs/observability.md`` for the metric glossary and trace-file
+format.
 """
 
 from .metrics import (
@@ -20,14 +21,16 @@ from .report import load_spans, render_report
 from .tracing import (
     JsonlSpanExporter,
     Span,
+    SpanStore,
+    coerce_trace_id,
     configure_exporter,
     current_span,
     iter_trace_file,
     maybe_profile,
+    new_trace_id,
     profile_step,
     reset_tracing,
     span,
-    start_trace,
     trace_step,
     tracing_enabled,
 )
@@ -39,6 +42,8 @@ __all__ = [
     "JsonlSpanExporter",
     "Registry",
     "Span",
+    "SpanStore",
+    "coerce_trace_id",
     "configure_exporter",
     "current_span",
     "default_buckets",
@@ -46,12 +51,12 @@ __all__ = [
     "iter_trace_file",
     "load_spans",
     "maybe_profile",
+    "new_trace_id",
     "null_instrumentation",
     "profile_step",
     "render_report",
     "reset_tracing",
     "span",
-    "start_trace",
     "trace_step",
     "tracing_enabled",
 ]

@@ -97,9 +97,17 @@ class _Instrument:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = type(self)(self.name, self.help_text)
-                self._children[key] = child
+                child = self._children[key] = self._new_child()
         return child
+
+    def _new_child(self) -> "_Instrument":
+        return type(self)(self.name, self.help_text)
+
+    def remove(self, **labels: str) -> None:
+        """Drop the child keyed by these label values, if any."""
+        key = _label_key(self.labelnames, labels)
+        with self._lock:
+            self._children.pop(key, None)
 
     def _child_items(
         self,
@@ -209,18 +217,8 @@ class Histogram(_Instrument):
         self._min = math.inf
         self._max = -math.inf
 
-    def labels(self, **labels: str) -> "Histogram":
-        if not self.labelnames:
-            raise ValueError(f"{self.name} declares no labels")
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = Histogram(
-                    self.name, self.help_text, buckets=self.bounds
-                )
-                self._children[key] = child
-        return child  # type: ignore[return-value]
+    def _new_child(self) -> "Histogram":
+        return Histogram(self.name, self.help_text, buckets=self.bounds)
 
     def observe(self, value: float) -> None:
         if not _enabled:

@@ -16,6 +16,9 @@ budget enforced by ``benchmarks/bench_obs.py``.
 does the same but additionally attaches cProfile stats (top
 cumulative entries) to the span when ``REPRO_PROFILE=1`` — the
 profiling knob stays out of the way otherwise.
+
+A ``SpanStore`` keeps a live process's spans queryable by trace id
+(exporter or not); ids from outside pass ``coerce_trace_id``.
 """
 
 from __future__ import annotations
@@ -29,16 +32,21 @@ import itertools
 import json
 import os
 import pstats
+import re
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "JsonlSpanExporter",
     "Span",
+    "SpanStore",
+    "coerce_trace_id",
     "configure_exporter",
     "current_span",
     "maybe_profile",
+    "new_trace_id",
     "profile_step",
     "reset_tracing",
     "span",
@@ -48,6 +56,13 @@ __all__ = [
 
 _PROFILE_ENV = "REPRO_PROFILE"
 _PROFILE_TOP = 12
+
+#: Trace ids from outside the process must match this (defence
+#: against log injection and unbounded keys); others are replaced.
+TRACE_ID_PATTERN = re.compile(r"^[A-Za-z0-9._:-]{1,64}$")
+
+#: Spans a :class:`SpanStore` keeps per trace.
+SPANS_PER_TRACE = 64
 
 
 class Span:
@@ -63,6 +78,7 @@ class Span:
         "wall_start",
         "attrs",
         "_token",
+        "_store",
     )
 
     def __init__(
@@ -72,6 +88,7 @@ class Span:
         span_id: str,
         parent_id: Optional[str],
         attrs: Optional[Dict[str, Any]] = None,
+        store: Optional["SpanStore"] = None,
     ) -> None:
         self.name = name
         self.trace_id = trace_id
@@ -82,6 +99,7 @@ class Span:
         self.wall_start = time.time()
         self.attrs: Dict[str, Any] = dict(attrs or {})
         self._token: Optional[contextvars.Token] = None
+        self._store = store
 
     def set_attribute(self, key: str, value: Any) -> None:
         self.attrs[key] = value
@@ -123,6 +141,8 @@ class Span:
         exporter = _exporter
         if exporter is not None:
             exporter.export(self)
+        if self._store is not None:
+            self._store.add(self)
 
 
 class _NullSpan:
@@ -200,6 +220,76 @@ def _next_id(kind: str) -> str:
     return f"{kind}-{_id_prefix}-{serial:06d}"
 
 
+def new_trace_id() -> str:
+    """A fresh process-unique trace id (``trace-<rand>-000001``)."""
+    return _next_id("trace")
+
+
+def coerce_trace_id(candidate: Any) -> str:
+    """``candidate`` if it is a valid trace id, else a fresh one."""
+    if isinstance(candidate, str) and TRACE_ID_PATTERN.match(candidate):
+        return candidate
+    return new_trace_id()
+
+
+class SpanStore:
+    """Bounded in-memory span store keyed by trace id.
+
+    Keeps the newest ``capacity`` traces and at most
+    :data:`SPANS_PER_TRACE` spans of each, counting what it drops:
+    ``dropped_traces`` and ``spans_dropped`` in total,
+    :meth:`truncated` per live trace.
+    """
+
+    def __init__(self, *, capacity: int = 1024) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self._capacity = capacity
+        self._traces: "OrderedDict[str, List[Span]]" = OrderedDict()
+        self._truncated: Dict[str, int] = {}
+        self.dropped_traces = 0
+        self.spans_dropped = 0
+
+    def start(self, name: str, trace_id: str, /, **attrs: Any) -> Span:
+        """A root span under ``trace_id``, stored (and exported, if
+        an exporter is set) when it closes."""
+        return Span(name, trace_id, _next_id("span"), None, attrs,
+                    store=self)
+
+    def add(self, span: Span) -> None:
+        trace_id = span.trace_id
+        spans = self._traces.get(trace_id)
+        if spans is None:
+            while len(self._traces) >= self._capacity:
+                evicted, _ = self._traces.popitem(last=False)
+                self._truncated.pop(evicted, None)
+                self.dropped_traces += 1
+            spans = self._traces[trace_id] = []
+        if len(spans) < SPANS_PER_TRACE:
+            spans.append(span)
+        else:
+            self._truncated[trace_id] = (
+                self._truncated.get(trace_id, 0) + 1)
+            self.spans_dropped += 1
+
+    def get(self, trace_id: str) -> Optional[List[Span]]:
+        """The spans of one trace, or ``None`` if unknown/evicted."""
+        spans = self._traces.get(trace_id)
+        return list(spans) if spans is not None else None
+
+    def truncated(self, trace_id: str) -> int:
+        """Spans dropped from one live trace."""
+        return self._truncated.get(trace_id, 0)
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "traces": len(self._traces),
+            "capacity": self._capacity,
+            "dropped_traces": self.dropped_traces,
+            "spans_dropped": self.spans_dropped,
+        }
+
+
 def configure_exporter(
     exporter: Optional[JsonlSpanExporter],
 ) -> None:
@@ -232,20 +322,9 @@ def span(name: str, /, **attrs: Any):
         trace_id = parent.trace_id
         parent_id = parent.span_id
     else:
-        trace_id = _next_id("trace")
+        trace_id = new_trace_id()
         parent_id = None
     return Span(name, trace_id, _next_id("span"), parent_id, attrs)
-
-
-def start_trace(name: str, trace_id: str, /, **attrs: Any):
-    """Open a root span under an externally supplied trace id.
-
-    Lets the serve layer reuse its request trace ids so HTTP spans
-    and engine spans land in the same trace.
-    """
-    if _exporter is None:
-        return _NULL_SPAN
-    return Span(name, trace_id, _next_id("span"), None, attrs)
 
 
 def trace_step(name: str):
@@ -285,18 +364,8 @@ def profile_step(name: str):
         def wrapper(*args: Any, **kwargs: Any):
             if _exporter is None:
                 return fn(*args, **kwargs)
-            with span(name) as step:
-                if os.environ.get(_PROFILE_ENV) != "1":
-                    return fn(*args, **kwargs)
-                profile = cProfile.Profile()
-                profile.enable()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    profile.disable()
-                    step.set_attribute(
-                        "profile", _profile_text(profile)
-                    )
+            with span(name) as step, maybe_profile(step):
+                return fn(*args, **kwargs)
 
         return wrapper
 

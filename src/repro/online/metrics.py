@@ -42,13 +42,15 @@ def latency_percentiles(latencies, *, unit_scale: float = 1e3,
                         prefix: str = "latency_") -> dict:
     """p50/p99 of a latency sample, as ``{prefix}p50_ms``-style keys.
 
-    The shared SLO machinery of the online engines and the serve
-    layer: ``latencies`` is any sequence of per-event wall-clock
-    seconds; ``unit_scale`` converts to the reported unit (default
-    milliseconds).  An empty sample reports zeros, so callers can
-    publish metrics before the first event without special-casing.
+    The exact percentiles of offline run summaries: ``latencies``
+    is any sequence of per-event wall-clock seconds; ``unit_scale``
+    converts to the reported unit (default milliseconds).  An empty
+    sample reports zeros, so callers can publish metrics before the
+    first event without special-casing.
     """
-    values = np.asarray(list(latencies) or [0.0], dtype=float)
+    values = np.asarray(latencies, dtype=float)
+    if values.size == 0:
+        values = np.zeros(1)
     return {
         f"{prefix}p50_ms": float(np.percentile(values, 50) * unit_scale),
         f"{prefix}p99_ms": float(np.percentile(values, 99) * unit_scale),
@@ -191,8 +193,7 @@ class OnlineMetrics:
         utilisation = np.array([r.utilisation for r in self.records]
                                or [0.0])
         busy = float(latencies.sum())
-        percentiles = latency_percentiles(
-            r.latency for r in self.records)
+        percentiles = latency_percentiles(latencies)
         return {
             "events": len(self.records),
             "arrivals": self.arrivals,

@@ -496,6 +496,12 @@ commit_reservation`).  Any failure abandons the phase-1 reservations
     def validation_failures(self) -> "list[str]":
         return list(self._validation_failures)
 
+    @property
+    def metrics(self) -> OnlineMetrics:
+        """The running tallies and event records :meth:`result`
+        summarises (read them; the engine owns them)."""
+        return self._metrics
+
     # -- bookkeeping --------------------------------------------------
 
     def _log_decision(self, index: int, kind: str, uid: int,

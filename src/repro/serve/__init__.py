@@ -4,8 +4,9 @@ Where :mod:`repro.online` answers "what would this stream's admission
 history be?" in batch, :mod:`repro.serve` keeps the same engines
 *live*: an asyncio HTTP+JSON service hosting one engine per tenant,
 with request batching on the hot admit path, decision-latency SLO
-metrics, bounded-queue load shedding, per-request tracing and
-snapshot/restore through :mod:`repro.store`.
+metrics, bounded-queue load shedding, per-request tracing (spans of
+:mod:`repro.obs` in a per-service store) and snapshot/restore through
+:mod:`repro.store`.
 
 Modules
 -------
@@ -15,8 +16,6 @@ Modules
 :mod:`repro.serve.batcher`
     The bounded admit-path queue and its single-consumer batch
     drainer (coalescing + overload shedding).
-:mod:`repro.serve.tracing`
-    Trace-id propagation and the bounded in-memory span log.
 :mod:`repro.serve.snapshot`
     Event-sourced snapshot/restore of all tenants via the
     content-addressed result store.
@@ -45,7 +44,6 @@ from repro.serve.tenants import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.serve.tracing import TraceLog
 
 __all__ = [
     "AdmissionService",
@@ -55,7 +53,6 @@ __all__ = [
     "ServeError",
     "Tenant",
     "TenantManager",
-    "TraceLog",
     "load_snapshot",
     "restore_snapshot",
     "run_app",

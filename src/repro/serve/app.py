@@ -2,7 +2,7 @@
 
 :class:`AdmissionService` wires the layers together -- tenant
 registry (:mod:`repro.serve.tenants`), admit-path batcher
-(:mod:`repro.serve.batcher`), trace log (:mod:`repro.serve.tracing`),
+(:mod:`repro.serve.batcher`), span store (:class:`repro.obs.SpanStore`),
 snapshot store (:mod:`repro.serve.snapshot`) -- and serves the
 endpoint table of :mod:`repro.serve.handlers` over a hand-rolled
 HTTP/1.1 server on :func:`asyncio.start_server`.  No third-party web
@@ -12,7 +12,8 @@ framing) is small enough to own.
 
 Connections are keep-alive by default; the bench client leans on that
 plus request pipelining to amortise round trips.  Every response
-carries the request's ``X-Trace-Id`` (client-supplied or minted).
+carries the request's ``X-Trace-Id`` (client-supplied or minted),
+under which the handlers record their ``serve.*`` spans.
 
 Error mapping: :class:`~repro.serve.handlers.NotFoundError` -> 404,
 :class:`~repro.serve.tenants.ServeError` -> 400, overload
@@ -33,7 +34,6 @@ from repro.online.metrics import throughput
 from repro.serve.batcher import EventBatcher, OverloadError
 from repro.serve.handlers import NotFoundError, resolve
 from repro.serve.tenants import ServeError, Tenant, TenantManager
-from repro.serve.tracing import TraceLog
 from repro.store import ResultStore
 
 #: Largest accepted request body, bytes (JSON scenarios are small).
@@ -89,7 +89,7 @@ class AdmissionService:
         self.batcher = EventBatcher(
             queue_limit=queue_limit, max_batch=max_batch,
             queue_timeout=queue_timeout)
-        self.traces = TraceLog()
+        self.traces = obs.SpanStore()
         self.store = store
         self.started_at = time.monotonic()
         self.requests_served = 0
@@ -97,9 +97,7 @@ class AdmissionService:
         self._server: "asyncio.base_events.Server | None" = None
         registry = obs.get_registry()
         #: Bucketed service-side event latency (queue wait + engine
-        #: decision).  Supersedes the former raw-list percentile scan
-        #: over every tenant record: observation is O(1) per event
-        #: and ``metrics()`` no longer walks the whole history.
+        #: decision): O(1) per event, whatever the uptime.
         self.decision_latency = registry.histogram(
             "repro_serve_decision_seconds",
             "Admission service event latency: batcher queue wait "
@@ -120,6 +118,11 @@ class AdmissionService:
             "Spans truncated from over-long traces.")
 
     # -- plumbing used by handlers ----------------------------------
+
+    def delete_tenant(self, name: str) -> None:
+        """Remove a tenant and its per-tenant exposition child."""
+        self.tenants.delete(name)
+        self._obs_tenant_events.remove(tenant=name)
 
     def require_store(self) -> ResultStore:
         if self.store is None:
@@ -142,9 +145,9 @@ class AdmissionService:
     def metrics(self) -> dict:
         """Service-wide SLO metrics plus per-tenant summaries.
 
-        The decision-latency percentiles come from the bucketed
-        ``repro_serve_decision_seconds`` histogram (interpolated
-        quantiles), not from rescanning every tenant record.
+        Percentiles are interpolated from latency histograms and
+        tenant summaries read running tallies: no part of a scrape
+        walks a tenant's event history.
         """
         tenants = self.tenants.tenants()
         events = sum(tenant.sequence for tenant in tenants)
@@ -231,7 +234,7 @@ class AdmissionService:
         candidate = request.headers.get("x-trace-id")
         if candidate is None and isinstance(request.body, dict):
             candidate = request.body.get("trace_id")
-        request.trace_id, _minted = self.traces.coerce(candidate)
+        request.trace_id = obs.coerce_trace_id(candidate)
         try:
             handler, request.path_arg = resolve(
                 request.method, request.path)
@@ -243,8 +246,10 @@ class AdmissionService:
         except ServeError as error:
             return 400, {"error": str(error)}
         except Exception as error:  # noqa: BLE001
-            self.traces.record(
-                request.trace_id, "internal-error", error=repr(error))
+            with self.traces.start(
+                    "serve.internal-error", request.trace_id,
+                    error=type(error).__name__, message=str(error)):
+                pass
             return 500, {"error": f"internal error: {error!r}"}
 
     @staticmethod
@@ -295,7 +300,7 @@ class AdmissionService:
                 except FramingError as error:
                     self._write_response(
                         writer, error.status, {"error": str(error)},
-                        self.traces.mint(), keep_alive=False)
+                        obs.new_trace_id(), keep_alive=False)
                     await writer.drain()
                     await self._linger(reader, writer)
                     break

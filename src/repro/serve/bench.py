@@ -224,14 +224,14 @@ async def _verify_tenant(client: PipelinedClient, name: str,
     if status != 200:
         raise BenchError(f"records fetch failed: {payload}")
     offline = Tenant(name, spec)
-    offline.engine.run()
+    final_admitted = offline.engine.run().final_admitted
     expected = offline.records()
     if payload["records"] != expected:
         raise BenchError(
             f"tenant {name!r}: served decisions diverge from the "
             f"offline engine ({len(payload['records'])} vs "
             f"{len(expected)} records)")
-    if payload["final_admitted"] != offline.result().final_admitted:
+    if payload["final_admitted"] != final_admitted:
         raise BenchError(
             f"tenant {name!r}: final admitted set diverges")
 

@@ -27,7 +27,8 @@ Endpoints
 ``POST /v1/snapshot``                persist all tenants to the store.
 ``POST /v1/restore``                 rebuild tenants from a snapshot
                                      (``{"key": ...}`` optional).
-``GET  /v1/traces/{id}``             spans of one trace id.
+``GET  /v1/traces/{id}``             spans of one trace id and its
+                                     ``dropped_spans`` count.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ async def handle_create_tenant(service, request) -> "tuple[int, dict]":
     body = request.body
     name = _require(body, "name")
     spec = scenario_from_dict(_require(body, "scenario"))
-    tenant = service.tenants.create(name, spec)
-    service.traces.record(
-        request.trace_id, "tenant-created", tenant=tenant.name,
-        jobs=tenant.num_jobs)
+    with service.traces.start("serve.tenant.create", request.trace_id,
+                              tenant=name) as step:
+        tenant = service.tenants.create(name, spec)
+        step.set_attribute("jobs", tenant.num_jobs)
     return 201, tenant.status()
 
 
@@ -85,7 +86,7 @@ async def handle_get_tenant(service, request) -> "tuple[int, dict]":
 
 
 async def handle_delete_tenant(service, request) -> "tuple[int, dict]":
-    service.tenants.delete(request.path_arg)
+    service.delete_tenant(request.path_arg)
     return 200, {"deleted": request.path_arg}
 
 
@@ -98,12 +99,11 @@ async def handle_tenant_records(service, request) -> "tuple[int, dict]":
         raise ServeError(f"start must be an integer, got {raw!r}")
     if start < 0:
         raise ServeError(f"start must be >= 0, got {start}")
-    records = tenant.records(start)
     return 200, {
         "tenant": tenant.name,
         "start": start,
-        "records": records,
-        "final_admitted": tenant.result().final_admitted,
+        "records": tenant.records(start),
+        "final_admitted": tenant.final_admitted(),
     }
 
 
@@ -118,12 +118,10 @@ async def _handle_event(service, request, kind) -> "tuple[int, dict]":
     if not isinstance(now, (int, float)) or isinstance(now, bool):
         raise ServeError(f"time must be a number, got {now!r}")
     tenant = service.tenants.get(name)
-    service.traces.record(
-        request.trace_id, "enqueued", tenant=name, kind=kind, uid=uid)
-    payload = await service.process_event(tenant, kind, uid, now)
-    service.traces.record(
-        request.trace_id, "decided", tenant=name, uid=uid,
-        decision=payload["decision"])
+    with service.traces.start("serve.event", request.trace_id,
+                              tenant=name, kind=kind, uid=uid) as step:
+        payload = await service.process_event(tenant, kind, uid, now)
+        step.set_attribute("decision", payload["decision"])
     return 200, payload
 
 
@@ -137,9 +135,10 @@ async def handle_depart(service, request) -> "tuple[int, dict]":
 
 async def handle_snapshot(service, request) -> "tuple[int, dict]":
     store = service.require_store()
-    outcome = save_snapshot(service.tenants, store)
-    service.traces.record(
-        request.trace_id, "snapshot", key=outcome["key"])
+    with service.traces.start("serve.snapshot",
+                              request.trace_id) as step:
+        outcome = save_snapshot(service.tenants, store)
+        step.set_attribute("key", outcome["key"])
     return 200, outcome
 
 
@@ -149,19 +148,25 @@ async def handle_restore(service, request) -> "tuple[int, dict]":
     key = body.get("key")
     if key is not None and not isinstance(key, str):
         raise ServeError(f"key must be a string, got {key!r}")
-    outcome = restore_snapshot(service.tenants, store, key)
-    service.traces.record(
-        request.trace_id, "restore", key=outcome["key"],
-        tenants=outcome["tenants"])
+    with service.traces.start("serve.restore", request.trace_id,
+                              key=key) as step:
+        outcome = restore_snapshot(service.tenants, store, key)
+        step.update_attributes(
+            {"key": outcome["key"], "tenants": outcome["tenants"]})
     return 200, outcome
 
 
 async def handle_trace(service, request) -> "tuple[int, dict]":
-    spans = service.traces.get(request.path_arg)
+    trace_id = request.path_arg
+    spans = service.traces.get(trace_id)
     if spans is None:
         raise NotFoundError(
-            f"no trace {request.path_arg!r} (unknown or evicted)")
-    return 200, {"trace_id": request.path_arg, "spans": spans}
+            f"no trace {trace_id!r} (unknown or evicted)")
+    return 200, {
+        "trace_id": trace_id,
+        "spans": [span.to_dict() for span in spans],
+        "dropped_spans": service.traces.truncated(trace_id),
+    }
 
 
 #: ``(method, route) -> handler``.  Routes with a trailing ``/*``
@@ -187,19 +192,12 @@ def resolve(method: str, path: str):
     handler = ROUTES.get((method, path))
     if handler is not None:
         return handler, None
+    # /v1/tenants/{name}, /v1/tenants/{name}/records, /v1/traces/{id}:
+    # the third segment is the argument, matched as ``*``.
     parts = path.split("/")
-    # /v1/tenants/{name} and /v1/tenants/{name}/records
-    if len(parts) == 4 and path.startswith("/v1/tenants/"):
-        handler = ROUTES.get((method, "/v1/tenants/*"))
-        if handler is not None and parts[3]:
-            return handler, parts[3]
-    if (len(parts) == 5 and path.startswith("/v1/tenants/")
-            and parts[4] == "records"):
-        handler = ROUTES.get((method, "/v1/tenants/*/records"))
-        if handler is not None and parts[3]:
-            return handler, parts[3]
-    if len(parts) == 4 and path.startswith("/v1/traces/"):
-        handler = ROUTES.get((method, "/v1/traces/*"))
-        if handler is not None and parts[3]:
+    if len(parts) in (4, 5) and parts[1] == "v1" and parts[3]:
+        pattern = "/".join(parts[:3] + ["*"] + parts[4:])
+        handler = ROUTES.get((method, pattern))
+        if handler is not None:
             return handler, parts[3]
     raise NotFoundError(f"no route for {method} {path}")

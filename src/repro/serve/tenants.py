@@ -30,12 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, fields
 
+from repro import obs
 from repro.core.exceptions import ModelError
 from repro.online.engine import OnlineScenarioSpec
-from repro.online.metrics import (
-    EventRecord,
-    OnlineRunResult,
-)
+from repro.online.metrics import EventRecord
 from repro.online.sharded import ShardedAdmissionEngine
 from repro.online.streams import (
     OnlineStream,
@@ -195,6 +193,11 @@ class Tenant:
         #: tenant reproduces the engine state bit-for-bit.
         self.journal: "list[list]" = []
         self._last_time = float("-inf")
+        #: Decision latency of every event record, for :meth:`status`
+        #: (unregistered: one tenant's, not the service's).
+        self.latency = obs.Histogram(
+            "repro_serve_tenant_decision_seconds",
+            "Decision latency of one tenant's event records, seconds.")
 
     @property
     def sequence(self) -> int:
@@ -239,6 +242,8 @@ class Tenant:
             raise ServeError(str(error)) from None
         self._last_time = now
         self.journal.append([kind, int(uid), now])
+        for record in records:
+            self.latency.observe(record.latency)
         return self._response(records)
 
     def _response(self, records: "list[EventRecord]") -> dict:
@@ -261,8 +266,9 @@ class Tenant:
         for kind, uid, now in journal:
             self.process(str(kind), int(uid), float(now))
 
-    def result(self) -> OnlineRunResult:
-        return self.engine.result()
+    def final_admitted(self) -> "list[int]":
+        """The admitted set, sorted (as in a run result)."""
+        return sorted(self.engine.admitted)
 
     def records(self, start: int = 0) -> "list[dict]":
         """Deterministic event-record dicts from index ``start``
@@ -270,29 +276,30 @@ class Tenant:
         :meth:`~repro.online.metrics.OnlineRunResult.
         deterministic_dict`)."""
         out = []
-        for record in self.engine.result().records[start:]:
+        for record in self.engine.metrics.records[start:]:
             payload = record.to_dict()
             payload.pop("latency")
             out.append(payload)
         return out
 
     def status(self) -> dict:
-        """Live tenant summary for ``/metrics`` and tenant queries."""
-        result = self.engine.result()
-        summary = result.summary
+        """Live tenant summary for ``/metrics`` and tenant queries:
+        the engine's running tallies plus this tenant's latency
+        histogram, in time independent of the events processed."""
+        metrics = self.engine.metrics
         return {
             "tenant": self.name,
             "events": self.sequence,
             "jobs": self.num_jobs,
             "shards": int(self.spec.shards),
-            "admitted": result.final_admitted,
-            "acceptance_ratio": summary["acceptance_ratio"],
-            "evictions": summary["evictions"],
-            "retry_accepts": summary["retry_accepts"],
-            "retry_drops": summary["retry_drops"],
-            "validation_failures": len(result.validation_failures),
-            "decision_p50_ms": summary["latency_p50_ms"],
-            "decision_p99_ms": summary["latency_p99_ms"],
+            "admitted": self.final_admitted(),
+            "acceptance_ratio": metrics.acceptance_ratio(),
+            "evictions": metrics.evictions,
+            "retry_accepts": metrics.retry_accepts,
+            "retry_drops": metrics.retry_drops,
+            "validation_failures": len(self.engine.validation_failures),
+            "decision_p50_ms": self.latency.quantile(0.50) * 1e3,
+            "decision_p99_ms": self.latency.quantile(0.99) * 1e3,
         }
 
 

@@ -88,9 +88,9 @@ class TestSpans:
         with obs.span("campaign", name="demo") as step:
             assert step.attrs["name"] == "demo"
 
-    def test_start_trace_adopts_external_trace_id(self, tmp_path):
+    def test_store_span_adopts_external_trace_id(self, tmp_path):
         exporter = _exporter(tmp_path)
-        with obs.start_trace("serve.enqueued", "req-42", uid=7):
+        with obs.SpanStore().start("serve.event", "req-42", uid=7):
             pass
         (span,) = obs.load_spans(exporter.path)
         assert span["trace_id"] == "req-42"

@@ -63,6 +63,33 @@ async def create_tenant(client, name="t", spec=SPEC):
     return payload
 
 
+async def raw_request(host, port, method, path, payload=None,
+                      headers=()):
+    """One request over a fresh socket with extra ``headers``:
+    ``(status, response headers, body text)``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    body = b"" if payload is None else json.dumps(payload).encode()
+    head = (f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n")
+    for name, value in headers:
+        head += f"{name}: {value}\r\n"
+    writer.write((head + "\r\n").encode("ascii") + body)
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    response_headers = {}
+    while True:
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n"):
+            break
+        name, _sep, value = raw.decode("latin-1").partition(":")
+        response_headers[name.strip().lower()] = value.strip()
+    length = int(response_headers.get("content-length", 0))
+    text = (await reader.readexactly(length)).decode("utf-8")
+    writer.close()
+    await writer.wait_closed()
+    return status, response_headers, text
+
+
 class TestSmoke:
     def test_health_metrics_and_tenant_lifecycle(self):
         async def scenario(service, client):
@@ -112,7 +139,7 @@ class TestSmoke:
         offline.engine.run()
         assert served["records"] == offline.records()
         assert (served["final_admitted"]
-                == offline.result().final_admitted)
+                == offline.engine.result().final_admitted)
 
     def test_error_mapping(self):
         async def scenario(service, client):
@@ -193,7 +220,7 @@ class TestSmoke:
                 status, body = await send(path, uid, now)
                 assert status == 400 and error in body["error"]
             assert tenant.journal == journal
-            assert tenant.result().summary["arrivals"] == 1
+            assert tenant.engine.result().summary["arrivals"] == 1
             status, _ = await send("/v1/depart", 0, 3.0)
             assert status == 200
             status, body = await send("/v1/depart", 0, 4.0)
@@ -201,6 +228,34 @@ class TestSmoke:
             assert tenant.sequence == 2
 
         asyncio.run(with_service(scenario))
+
+    def test_status_and_metrics_never_build_a_run_result(
+            self, monkeypatch):
+        """Scrapes and tenant queries read running tallies: with the
+        run-result builders broken they still answer."""
+        from repro.online.metrics import OnlineMetrics
+        from repro.online.sharded import ShardedAdmissionEngine
+
+        def broken(self):
+            raise AssertionError("built a run result")
+
+        async def scenario(service, client):
+            await create_tenant(client)
+            for path, payload in wire_events("t", SPEC)[:8]:
+                status, _ = await client.request("POST", path, payload)
+                assert status == 200
+            monkeypatch.setattr(ShardedAdmissionEngine, "result", broken)
+            monkeypatch.setattr(OnlineMetrics, "summary", broken)
+            replies = [await client.request("GET", path) for path in (
+                "/metrics", "/v1/tenants/t", "/v1/tenants/t/records")]
+            return replies
+
+        replies = asyncio.run(with_service(scenario))
+        assert [status for status, _body in replies] == [200, 200, 200]
+        (_, metrics), (_, info), (_, page) = replies
+        assert metrics["tenants"] == [info]
+        assert info["events"] == len(page["records"]) == 8
+        assert info["decision_p99_ms"] >= info["decision_p50_ms"] > 0.0
 
     def test_trace_ids_propagate_and_are_queryable(self):
         async def scenario(service, client):
@@ -214,8 +269,15 @@ class TestSmoke:
             status, trace = await client.request(
                 "GET", "/v1/traces/my-trace-1")
             assert status == 200
-            stages = [span["stage"] for span in trace["spans"]]
-            assert stages == ["enqueued", "decided"]
+            assert trace["dropped_spans"] == 0
+            (span,) = trace["spans"]
+            assert span["name"] == "serve.event"
+            assert span["trace_id"] == "my-trace-1"
+            assert span["parent_id"] is None
+            assert span["duration"] > 0.0
+            assert span["attrs"] == {
+                "tenant": "t", "kind": "arrive", "uid": payload["uid"],
+                "decision": _body["decision"]}
             status, _ = await client.request(
                 "GET", "/v1/traces/never-seen")
             assert status == 404
@@ -228,13 +290,169 @@ class TestSmoke:
             # Zero-capacity queue: every admit sheds immediately.
             service.batcher.queue_limit = 0
             path, payload = wire_events("t", SPEC)[0]
-            status, body = await client.request("POST", path, payload)
-            return status, body, dict(client.last_headers)
+            status, body = await client.request(
+                "POST", path, {**payload, "trace_id": "shed-1"})
+            return (status, body, dict(client.last_headers),
+                    service.traces.get("shed-1"))
 
-        status, body, headers = asyncio.run(with_service(scenario))
+        status, body, headers, spans = asyncio.run(
+            with_service(scenario))
         assert status == 503
         assert "queue full" in body["error"]
         assert headers.get("retry-after") == "1"
+        (span,) = spans
+        assert span.name == "serve.event"
+        assert span.attrs["error"] == "OverloadError"
+        assert "decision" not in span.attrs
+
+
+class TestTracing:
+    """Request trace ids and the ``serve.*`` spans recorded under
+    them: one ``repro.obs`` span type, one store per service."""
+
+    @staticmethod
+    def _address(service):
+        return service._server.sockets[0].getsockname()[:2]
+
+    def test_malformed_trace_ids_are_replaced_never_500(self):
+        async def scenario(service, client):
+            await create_tenant(client)
+            host, port = self._address(service)
+            events = wire_events("t", SPEC)
+            replies = []
+            for (path, payload), header, field in zip(events, (
+                    "x" * 65, "bad id", None), (None, None, 17)):
+                if field is not None:
+                    payload = {**payload, "trace_id": field}
+                headers = [("X-Trace-Id", header)] if header else []
+                replies.append(await raw_request(
+                    host, port, "POST", path, payload, headers))
+            return service, replies
+
+        service, replies = asyncio.run(with_service(scenario))
+        minted = set()
+        for status, headers, _text in replies:
+            assert status == 200
+            minted.add(headers["x-trace-id"])
+        assert len(minted) == 3
+        for trace_id in minted:
+            assert trace_id.startswith("trace-")
+            (span,) = service.traces.get(trace_id)
+            assert span.name == "serve.event"
+
+    def test_lifecycle_and_errors_record_serve_spans(self, monkeypatch,
+                                                     tmp_path):
+        async def scenario(service, client):
+            status, _ = await client.request(
+                "POST", "/v1/tenants",
+                {"name": "t", "scenario": scenario_to_dict(SPEC),
+                 "trace_id": "life-1"})
+            assert status == 201
+            status, _ = await client.request(
+                "POST", "/v1/snapshot", {"trace_id": "life-1"})
+            assert status == 200
+            status, _ = await client.request(
+                "POST", "/v1/restore", {"trace_id": "life-1"})
+            assert status == 200
+
+            def broken(*_args):
+                raise RuntimeError("engine fault")
+
+            monkeypatch.setattr(Tenant, "process", broken)
+            path, payload = wire_events("t", SPEC)[0]
+            status, _ = await client.request(
+                "POST", path, {**payload, "trace_id": "fault-1"})
+            assert status == 500
+            return [service.traces.get(t) for t in ("life-1", "fault-1")]
+
+        life, fault = asyncio.run(with_service(
+            scenario, store=ResultStore(str(tmp_path / "store"))))
+        assert [span.name for span in life] == [
+            "serve.tenant.create", "serve.snapshot", "serve.restore"]
+        assert life[0].attrs == {"tenant": "t",
+                                 "jobs": life[0].attrs["jobs"]}
+        assert life[1].attrs["key"] == life[2].attrs["key"]
+        assert life[2].attrs["tenants"] == 1
+        assert [span.name for span in fault] == [
+            "serve.event", "serve.internal-error"]
+        assert fault[0].attrs["error"] == "RuntimeError"
+        assert fault[1].attrs == {"error": "RuntimeError",
+                                  "message": "engine fault"}
+
+    def test_two_services_keep_disjoint_stores(self):
+        async def scenario():
+            first, second = AdmissionService(), AdmissionService()
+            for service in (first, second):
+                await service.start()
+            clients = [await PipelinedClient.connect(
+                *self._address(service)) for service in (first, second)]
+            try:
+                for client in clients:
+                    await create_tenant(client)
+                path, payload = wire_events("t", SPEC)[0]
+                await clients[0].request(
+                    "POST", path, {**payload, "trace_id": "only-first"})
+                status, _ = await clients[1].request(
+                    "GET", "/v1/traces/only-first")
+                assert status == 404
+                status, trace = await clients[0].request(
+                    "GET", "/v1/traces/only-first")
+                assert status == 200 and len(trace["spans"]) == 1
+            finally:
+                for client in clients:
+                    await client.close()
+                for service in (first, second):
+                    await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_spans_reach_a_configured_exporter(self, tmp_path):
+        from repro import obs
+
+        exporter = obs.JsonlSpanExporter(str(tmp_path / "trace.jsonl"))
+        obs.configure_exporter(exporter)
+        try:
+            async def scenario(service, client):
+                await create_tenant(client)
+                for k, (path, payload) in enumerate(
+                        wire_events("t", SPEC)[:3]):
+                    status, _ = await client.request(
+                        "POST", path, {**payload, "trace_id": f"x-{k}"})
+                    assert status == 200
+                status, trace = await client.request(
+                    "GET", "/v1/traces/x-1")
+                return trace
+
+            trace = asyncio.run(with_service(scenario))
+        finally:
+            obs.reset_tracing()
+        exported = [span for span in obs.load_spans(exporter.path)
+                    if span["name"] == "serve.event"]
+        assert [span["trace_id"] for span in exported] == [
+            "x-0", "x-1", "x-2"]
+        assert trace["spans"] == [exported[1]]
+
+    def test_spans_dropped_past_the_per_trace_bound(self):
+        from repro.obs.tracing import SPANS_PER_TRACE
+
+        async def scenario(service, client):
+            await create_tenant(client)
+            # Each refused duplicate create still records its span.
+            for _ in range(SPANS_PER_TRACE + 2):
+                status, _ = await client.request(
+                    "POST", "/v1/tenants",
+                    {"name": "t", "scenario": scenario_to_dict(SPEC),
+                     "trace_id": "long"})
+                assert status == 400
+            _, trace = await client.request("GET", "/v1/traces/long")
+            _, metrics = await client.request("GET", "/metrics")
+            return trace, metrics
+
+        trace, metrics = asyncio.run(with_service(scenario))
+        assert len(trace["spans"]) == SPANS_PER_TRACE
+        assert trace["spans"][0]["attrs"]["error"] == "ServeError"
+        assert trace["dropped_spans"] == 2
+        assert metrics["traces"]["spans_dropped"] == 2
 
 
 class TestFraming:
@@ -345,7 +563,7 @@ class TestSnapshotRestore:
         offline.engine.run()
         assert served["records"] == offline.records()
         assert (served["final_admitted"]
-                == offline.result().final_admitted)
+                == offline.engine.result().final_admitted)
         # The continuation's per-event indices line up seamlessly.
         assert responses[0]["seq"] == half + 1
 
@@ -419,28 +637,6 @@ class TestPrometheusScrape:
     """GET /metrics content negotiation: JSON by default, Prometheus
     text exposition of the whole repro.obs registry on request."""
 
-    @staticmethod
-    async def _raw_get(host, port, path, headers=()):
-        reader, writer = await asyncio.open_connection(host, port)
-        head = f"GET {path} HTTP/1.1\r\nHost: scrape\r\n"
-        for name, value in headers:
-            head += f"{name}: {value}\r\n"
-        writer.write((head + "\r\n").encode("ascii"))
-        await writer.drain()
-        status = int((await reader.readline()).split()[1])
-        response_headers = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n"):
-                break
-            name, _sep, value = raw.decode("latin-1").partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        length = int(response_headers.get("content-length", 0))
-        body = await reader.readexactly(length)
-        writer.close()
-        await writer.wait_closed()
-        return status, response_headers, body.decode("utf-8")
-
     def test_scrape_covers_the_whole_stack(self, tmp_path):
         async def scenario(service, client):
             await create_tenant(client)
@@ -449,8 +645,8 @@ class TestPrometheusScrape:
                     "POST", path, payload)
                 assert status == 200
             host, port = service._server.sockets[0].getsockname()[:2]
-            return await self._raw_get(
-                host, port, "/metrics?format=prometheus")
+            return await raw_request(
+                host, port, "GET", "/metrics?format=prometheus")
 
         status, headers, text = asyncio.run(with_service(
             scenario, store=ResultStore(str(tmp_path / "store"))))
@@ -473,11 +669,29 @@ class TestPrometheusScrape:
         assert "# TYPE repro_store_reads_total counter" in text
         assert "repro_serve_trace_spans_dropped 0" in text
 
+    def test_deleted_tenant_leaves_the_exposition(self):
+        async def scenario(service, client):
+            host, port = service._server.sockets[0].getsockname()[:2]
+            await create_tenant(client, name="gone")
+            _, _, before = await raw_request(
+                host, port, "GET", "/metrics?format=prometheus")
+            status, _ = await client.request(
+                "DELETE", "/v1/tenants/gone")
+            assert status == 200
+            _, _, after = await raw_request(
+                host, port, "GET", "/metrics?format=prometheus")
+            return before, after
+
+        before, after = asyncio.run(with_service(scenario))
+        assert 'repro_serve_tenant_events{tenant="gone"} 0' in before
+        assert 'tenant="gone"' not in after
+        assert "repro_serve_tenants 0" in after
+
     def test_accept_header_negotiates_text(self):
         async def scenario(service, client):
             host, port = service._server.sockets[0].getsockname()[:2]
-            return await self._raw_get(
-                host, port, "/metrics",
+            return await raw_request(
+                host, port, "GET", "/metrics",
                 headers=[("Accept", "text/plain")])
 
         status, headers, text = asyncio.run(with_service(scenario))

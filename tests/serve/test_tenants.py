@@ -104,7 +104,7 @@ class TestTenant:
             stream, policy=s.policy, mode=s.mode,
             retry_limit=s.retry_limit,
             validate_every=s.validate_every, kernel=s.kernel).run()
-        assert (tenant.result().deterministic_dict()
+        assert (tenant.engine.result().deterministic_dict()
                 == offline.deterministic_dict())
 
     def test_journal_replay_is_bitwise_identical(self):
@@ -119,8 +119,8 @@ class TestTenant:
         clone = Tenant("t", s)
         clone.replay(live.journal)
         assert clone.records() == live.records()
-        assert (clone.result().final_admitted
-                == live.result().final_admitted)
+        assert (clone.engine.result().final_admitted
+                == live.engine.result().final_admitted)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ServeError, match="kind"):
@@ -176,7 +176,7 @@ class TestTenant:
         with pytest.raises(ServeError, match="before it arrived"):
             tenant.process("depart", 1, 2.0)
         assert tenant.journal == journal
-        assert tenant.result().summary["arrivals"] == 1
+        assert tenant.engine.result().summary["arrivals"] == 1
         tenant.process("depart", 0, 3.0)
         journal = [list(entry) for entry in tenant.journal]
         with pytest.raises(ServeError, match="already departed"):
@@ -225,6 +225,35 @@ class TestTenantManager:
 CONGESTED = StreamConfig(
     horizon=30.0, rate=1.3, dwell_scale=2.0, pool_size=24,
     workload=RandomInstanceConfig(resources_per_stage=4))
+
+
+class TestStatus:
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_status_tallies_match_a_fresh_run_result(self, shards):
+        """After every event of a congested stream, the status fields
+        read from the engine's running tallies equal the same fields
+        of a freshly built run result."""
+        tenant = Tenant("t", spec(stream=CONGESTED, shards=shards,
+                                  validate_every=16))
+        for now, kind, uid in stream_events(tenant.stream):
+            tenant.process("arrive" if kind == EVENT_ARRIVE
+                           else "depart", uid, now)
+            status = tenant.status()
+            result = tenant.engine.result()
+            summary = result.summary
+            assert status["admitted"] == result.final_admitted
+            assert (status["acceptance_ratio"]
+                    == summary["acceptance_ratio"])
+            for key in ("evictions", "retry_accepts", "retry_drops"):
+                assert status[key] == summary[key], key
+            assert (status["validation_failures"]
+                    == len(result.validation_failures))
+        # Congested: arrivals were refused, and retries re-admitted
+        # and dropped jobs.
+        assert summary["acceptance_ratio"] < 1.0
+        assert summary["retry_accepts"] and summary["retry_drops"]
+        # One latency observation per record, retry records included.
+        assert tenant.latency.count == summary["events"]
 
 
 class TestMemoryRelease:
